@@ -187,9 +187,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The round log is write-ahead: on a fresh boot it restarts empty;
 	// on resume, records past the snapshot's round (stepped after the
 	// last checkpoint by a run that died uncheckpointed) are dropped so
-	// the log stays consecutive with what the engine will re-run.
+	// the log stays consecutive with what the engine will re-run. A
+	// fresh boot never truncates a log that already holds acknowledged
+	// rounds: without a snapshot to resume from, they would be lost.
 	var logFile *os.File
 	if *roundLog != "" {
+		if !resumed && len(prevRecs) > 0 {
+			return fmt.Errorf("-roundlog %s already holds %d rounds and no snapshot resumes them; refusing to truncate it (move it aside or pass the run's -snapshot)",
+				*roundLog, len(prevRecs))
+		}
 		logFile, err = os.Create(*roundLog)
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -219,7 +220,7 @@ func TestLemma1AcceptFraction(t *testing.T) {
 		if f := s.AcceptFraction(); f < bound-1e-12 {
 			t.Fatalf("round %d: accept fraction %v below ε/(1+ε)=%v", i, f, bound)
 		}
-		p.Step(s)
+		s.Step(p)
 	}
 }
 
@@ -316,36 +317,76 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 }
 
+// shardedStep runs one round of p the way the sharded engine does:
+// ProposeRange over len(scs) equal shards on concurrent goroutines,
+// then delivery through an Exchange.
+func shardedStep(s *State, p Protocol, x *Exchange, scs []ProposeScratch) StepStats {
+	s.LiveWMax()
+	n, w := s.N(), len(scs)
+	var wg sync.WaitGroup
+	for i := range scs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			scs[i].Moves = scs[i].Moves[:0]
+			p.ProposeRange(s, i*n/w, (i+1)*n/w, &scs[i])
+			x.Route(i, scs[i].Moves)
+		}(i)
+	}
+	wg.Wait()
+	for j := 0; j < w; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			x.DeliverShard(s, j)
+		}(j)
+	}
+	wg.Wait()
+	return x.Finish(s, true)
+}
+
+// TestParallelStepMatchesSequential pins the Protocol contract that
+// lets the engine shard the propose phase: a run whose rounds propose
+// over 4 concurrent shards and deliver through an Exchange must match
+// the State.Step run bit for bit — rounds, migrations, moved weight
+// and every final load.
 func TestParallelStepMatchesSequential(t *testing.T) {
-	run := func(workers int, protoSel string) (RunResult, []float64) {
+	build := func() *State {
 		g := graph.Grid2D(6, 6, true)
 		r := rng.NewSeeded(13)
 		ts := task.NewSet(task.UniformRange{Lo: 1, Hi: 4}.Weights(150, r))
-		s := NewState(g, ts, singleSource(150), AboveAverage{Eps: 0.25}, 888)
-		var p Protocol
-		switch protoSel {
-		case "resource":
-			p = ResourceControlled{Kernel: walk.NewMaxDegree(g), Workers: workers}
-		case "user":
-			p = UserControlled{Alpha: 1, Workers: workers}
-		}
-		res := Run(s, p, RunOptions{MaxRounds: 100000})
-		loads := make([]float64, s.N())
-		for i := range loads {
-			loads[i] = s.Load(i)
-		}
-		return res, loads
+		return NewState(g, ts, singleSource(150), AboveAverage{Eps: 0.25}, 888)
 	}
-	for _, proto := range []string{"resource", "user"} {
-		seqRes, seqLoads := run(1, proto)
-		parRes, parLoads := run(4, proto)
-		if seqRes.Rounds != parRes.Rounds || seqRes.Migrations != parRes.Migrations {
-			t.Fatalf("%s: parallel run diverged: %+v vs %+v", proto, seqRes, parRes)
+	protos := map[string]Protocol{
+		"resource": ResourceControlled{Kernel: walk.NewMaxDegree(graph.Grid2D(6, 6, true))},
+		"user":     UserControlled{Alpha: 1},
+		"mixed": Mixed{A: ResourceControlled{Kernel: walk.NewMaxDegree(graph.Grid2D(6, 6, true))},
+			B: UserControlledGraph{Alpha: 1}, Period: 2},
+	}
+	for name, p := range protos {
+		seq := build()
+		seqRes := Run(seq, p, RunOptions{MaxRounds: 100000})
+
+		sharded := build()
+		const w = 4
+		x := NewExchange([]int{0, 9, 18, 27, 36})
+		scs := make([]ProposeScratch, w)
+		var parRes RunResult
+		for parRes.Rounds < 100000 && !sharded.Balanced() {
+			st := shardedStep(sharded, p, x, scs)
+			parRes.Rounds++
+			parRes.Migrations += int64(st.Migrations)
+			parRes.MovedWeight += st.MovedWeight
 		}
-		for i := range seqLoads {
-			if seqLoads[i] != parLoads[i] {
-				t.Fatalf("%s: load[%d] differs: %v vs %v", proto, i, seqLoads[i], parLoads[i])
-			}
+		parRes.Balanced = sharded.Balanced()
+		if !reflect.DeepEqual(seqRes, parRes) {
+			t.Fatalf("%s: sharded run diverged: %+v vs %+v", name, parRes, seqRes)
+		}
+		if !reflect.DeepEqual(seq.Loads(), sharded.Loads()) {
+			t.Fatalf("%s: final loads differ", name)
+		}
+		if err := sharded.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
@@ -420,7 +461,7 @@ func TestAcceptedTasksNeverMoveAgain(t *testing.T) {
 				}
 			}
 		}
-		p.Step(s)
+		s.Step(p)
 	}
 	if !s.Balanced() {
 		t.Fatal("did not balance")
@@ -731,7 +772,7 @@ func TestPropertyRoundConservation(t *testing.T) {
 			s := NewState(g, ts, placement, AboveAverage{Eps: 0.3}, uint64(seed))
 			p := mk()
 			for round := 0; round < 5; round++ {
-				p.Step(s)
+				s.Step(p)
 				if err := s.CheckInvariants(); err != nil {
 					t.Logf("invariant: %v", err)
 					return false
@@ -777,7 +818,7 @@ func TestUserControlledSingleResourceNoPanic(t *testing.T) {
 	s := NewState(g, ts, singleSource(5), FixedVector{V: []float64{1}, Label: "tight1"}, 70)
 	p := UserControlled{Alpha: 1}
 	for i := 0; i < 10; i++ {
-		p.Step(s)
+		s.Step(p)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)

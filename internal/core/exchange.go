@@ -31,7 +31,7 @@ package core
 // partials are folded in ascending resource order at Finish. Both the
 // per-resource partials and the fold order are independent of the shard
 // boundaries, so the result is bit-identical for every worker count and
-// every (measured-cost) boundary placement. DeliverMigrations uses the
+// every boundary placement. DeliverMigrations uses the
 // identical grouping, so the sequential path agrees bit for bit.
 //
 // The Exchange is allocation-free once warm: lane cuts, merge cursors
@@ -79,7 +79,7 @@ type Exchange struct {
 
 // NewExchange builds an exchange over the given shard boundaries
 // (len = shards+1, ascending, bounds[0] = 0, bounds[last] = n). The
-// boundaries are copied; move them later with SetBounds.
+// boundaries are copied.
 func NewExchange(bounds []int) *Exchange {
 	w := len(bounds) - 1
 	if w < 1 {
@@ -101,20 +101,6 @@ func NewExchange(bounds []int) *Exchange {
 
 // Workers returns the number of shards the exchange was built for.
 func (x *Exchange) Workers() int { return len(x.srcs) }
-
-// Bounds returns the current shard boundaries (read-only use expected).
-func (x *Exchange) Bounds() []int { return x.bounds }
-
-// SetBounds replaces the shard boundaries — the measured-cost
-// rebalancing hook. The shard count must not change, and no batch may
-// be in flight. Results are unaffected by boundary placement (see the
-// determinism contract above); only the work split moves.
-func (x *Exchange) SetBounds(bounds []int) {
-	if len(bounds) != len(x.bounds) {
-		panic("core: SetBounds must keep the shard count")
-	}
-	copy(x.bounds, bounds)
-}
 
 // Route ingests source shard i's moves for the current batch: it sorts
 // them in place by (destination, task ID) and segments the sorted

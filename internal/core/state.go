@@ -15,8 +15,8 @@ import (
 // threshold vector, the task→resource map, and one RNG stream per
 // resource. Per-resource streams make every protocol step a
 // deterministic function of (seed, initial placement) regardless of
-// execution order, which is what allows the parallel step executor to
-// reproduce the sequential one bit-for-bit.
+// execution order, which is what allows the sharded engine's propose
+// and exchange phases to reproduce Step bit-for-bit.
 type State struct {
 	g      *graph.Graph
 	ts     *task.Set
@@ -45,7 +45,9 @@ type State struct {
 	liveWMaxCount int
 	liveWMaxDirty bool
 
-	// Reusable scratch for DeliverMigrations' canonical sort.
+	// Reusable scratch for Step's propose sweep and DeliverMigrations'
+	// canonical sort.
+	scratch     ProposeScratch
 	sortScratch []Migration
 
 	// In-flight ledger totals, maintained by the fault layer via
@@ -347,44 +349,23 @@ type Migration struct {
 // the first few rounds, keeping the hot path allocation-free.
 type ProposeScratch struct {
 	// Moves accumulates the shard's proposed migrations. Callers reset
-	// it (Moves = Moves[:0]) between rounds and hand the union of all
-	// shards' moves to DeliverMigrations.
+	// it (Moves = Moves[:0]) between rounds and hand every shard's moves
+	// to the delivery (an Exchange, or DeliverMigrations).
 	Moves []Migration
 
 	idx   []int       // per-resource index scratch (user-controlled coin flips)
 	tasks []task.Task // per-resource removed-task scratch
 }
 
-// RangeProposer is implemented by protocols whose propose phase can
-// run over disjoint resource ranges — the contract of the sharded
-// open-system engine. ProposeRange must draw randomness only from the
-// per-resource streams of [lo, hi), so that any sharding of [0, n)
-// produces the same move multiset as a single sequential sweep.
-type RangeProposer interface {
-	Protocol
-	// ProposeRange appends the propose-phase decisions for resources
-	// [lo, hi) to sc.Moves, removing the migrating tasks from their
-	// source stacks. Safe to call concurrently on disjoint ranges with
-	// distinct scratches.
-	ProposeRange(s *State, lo, hi int, sc *ProposeScratch)
-}
-
-// rangeCapable lets composite protocols (Mixed) report whether every
-// sub-protocol supports ranged proposing; the engine probes it before
-// committing to the sharded path.
-type rangeCapable interface{ RangeCapable() bool }
-
-// CanPropose reports whether p supports the sharded propose/deliver
-// split: it implements RangeProposer and, for composites, so does
-// every sub-protocol.
-func CanPropose(p Protocol) bool {
-	if _, ok := p.(RangeProposer); !ok {
-		return false
-	}
-	if rc, ok := p.(rangeCapable); ok {
-		return rc.RangeCapable()
-	}
-	return true
+// Step runs one synchronous round of p over the whole resource range
+// — the standalone (unsharded) round: it settles the live-wmax cache,
+// proposes over [0, n) into the state's own scratch and delivers the
+// moves with DeliverMigrations.
+func (s *State) Step(p Protocol) StepStats {
+	s.LiveWMax()
+	s.scratch.Moves = s.scratch.Moves[:0]
+	p.ProposeRange(s, 0, s.N(), &s.scratch)
+	return s.DeliverMigrations(s.scratch.Moves)
 }
 
 // DeliverMigrations completes a round for an externally collected move

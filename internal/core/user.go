@@ -18,8 +18,7 @@ import (
 // Alpha = 1 ("the factor we require in the analysis is quite
 // conservative"), which is also our experiments' default.
 type UserControlled struct {
-	Alpha   float64
-	Workers int // 0 or 1 = sequential
+	Alpha float64
 }
 
 // TheoryAlphaAboveAverage returns the Theorem 11 analysis constant
@@ -52,26 +51,15 @@ func (p UserControlled) leaveProbability(s *State, r int) float64 {
 	return prob
 }
 
-// Step executes one synchronous round.
-func (p UserControlled) Step(s *State) StepStats {
-	if p.Alpha <= 0 {
-		panic("core: UserControlled requires Alpha > 0")
-	}
-	// Settle the lazily recomputed live-wmax cache before the propose
-	// phase: leaveProbability reads it from every worker goroutine, and
-	// a dirty cache (possible after open-system departures) would make
-	// those reads racy writes.
-	s.LiveWMax()
-	return s.DeliverMigrations(stepPropose(p, s, p.Workers))
-}
-
-// ProposeRange implements RangeProposer: it flips the leave coin for
+// ProposeRange implements Protocol: it flips the leave coin for
 // every task on each overloaded resource in [lo, hi) (bottom-to-top
 // order) and samples destinations uniformly over the other resources.
 // All randomness for resource r comes from r's own stream, keeping
-// sharded execution deterministic. Callers must settle LiveWMax before
-// proposing in parallel.
+// sharded execution deterministic.
 func (p UserControlled) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
+	if p.Alpha <= 0 {
+		panic("core: UserControlled requires Alpha > 0")
+	}
 	n := s.N()
 	if n < 2 {
 		return // nowhere to migrate on a single resource
@@ -119,17 +107,11 @@ func (p UserControlledGraph) Name() string {
 	return fmt.Sprintf("user-controlled-graph(alpha=%g)", p.Alpha)
 }
 
-// Step executes one synchronous round of the graph variant.
-func (p UserControlledGraph) Step(s *State) StepStats {
+// ProposeRange implements Protocol.
+func (p UserControlledGraph) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
 	if p.Alpha <= 0 {
 		panic("core: UserControlledGraph requires Alpha > 0")
 	}
-	s.LiveWMax()
-	return s.DeliverMigrations(stepPropose(p, s, 1))
-}
-
-// ProposeRange implements RangeProposer.
-func (p UserControlledGraph) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
 	inner := UserControlled{Alpha: p.Alpha}
 	g := s.Graph()
 	for r := lo; r < hi; r++ {
@@ -182,19 +164,8 @@ func (p Mixed) due(round int) Protocol {
 	return p.B
 }
 
-// Step executes one synchronous round of whichever sub-protocol is due.
-func (p Mixed) Step(s *State) StepStats {
-	return p.due(s.round).Step(s)
-}
-
-// ProposeRange implements RangeProposer by delegating to the due
-// sub-protocol. Only valid when RangeCapable reports true.
+// ProposeRange implements Protocol by delegating to the sub-protocol
+// due this round.
 func (p Mixed) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
-	p.due(s.round).(RangeProposer).ProposeRange(s, lo, hi, sc)
-}
-
-// RangeCapable reports whether both sub-protocols support the sharded
-// propose/deliver split.
-func (p Mixed) RangeCapable() bool {
-	return CanPropose(p.A) && CanPropose(p.B)
+	p.due(s.round).ProposeRange(s, lo, hi, sc)
 }

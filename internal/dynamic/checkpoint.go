@@ -323,12 +323,13 @@ func (e *engine) encodeState(nextRound int) []byte {
 	enc.Int64(e.wArrivals)
 	enc.Int64(e.wDepartures)
 	// The per-shard window accumulators (wShardArr/Dep/Inb) are
-	// deliberately NOT captured: their attribution follows the
-	// wall-clock-rebalanced shard bounds, which are nondeterministic
-	// and not part of a snapshot. Dropping them keeps checkpoint bytes
-	// bit-deterministic; the cost is one under-counted KindShardWindow
-	// report right after resume — per-shard telemetry is already
-	// partition-dependent and outside the determinism contract.
+	// deliberately NOT captured: per-shard attribution depends on the
+	// worker count, and a resume may run with a different one
+	// (TestResumeAcrossWorkerCounts). Dropping them keeps checkpoint
+	// bytes identical across worker counts; the cost is one
+	// under-counted KindShardWindow report right after resume —
+	// per-shard telemetry is partition-dependent and outside the
+	// determinism contract.
 	enc.End()
 
 	enc.Begin("trace")

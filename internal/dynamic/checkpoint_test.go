@@ -19,13 +19,13 @@ import (
 // detKinds is the event-kind set the crash/resume golden suite holds
 // byte-identical: every kind whose payload is part of the determinism
 // contract. Excluded are the wall-clock kinds (KindPhase, KindShardCost)
-// and the shard-bound-dependent ones (KindShardWindow, KindLanes) —
-// shard boundaries rebalance on measured cost and are not snapshot
-// state.
+// and the per-shard ones (KindShardWindow, KindLanes) — their
+// accumulators depend on the worker count, which a resume may change,
+// and are not snapshot state.
 var detKinds = obs.Mask(obs.KindWindow, obs.KindDomainWindow,
 	obs.KindRecoveryStart, obs.KindRecoveryEnd, obs.KindFaults,
 	obs.KindQuarantine, obs.KindAlert, obs.KindCheckpoint,
-	obs.KindTraceHist)
+	obs.KindTraceHist, obs.KindTrace)
 
 // ckptCapture is one observed run: its Result, the deterministic-kind
 // event stream, and every checkpoint it wrote (bytes copied).
@@ -101,9 +101,9 @@ func requireSameEvents(t *testing.T, label string, got, want []obs.Event) {
 }
 
 // TestCheckpointCrashResumeGolden is the headline crash-recovery
-// contract: for seeds {1, 2, 3}, workers {1, 2, 4, 8} and three fault
+// contract: for seeds {1, 2, 3}, workers {1, 2, 4, 8} and four fault
 // regimes (fault-free churn, message loss with retry/timeout, scripted
-// partition + flapping quarantine), a run killed at a randomized round
+// partition + flapping quarantine, traced delay + duplication), a run killed at a randomized round
 // and resumed from its last checkpoint must finish byte-identical to
 // the uninterrupted run — same Result, same deterministic-kind event
 // stream (sequence numbers included), and every post-resume checkpoint
@@ -153,6 +153,16 @@ func TestCheckpointCrashResumeGolden(t *testing.T) {
 				Partitions: []faults.Partition{{Start: 50, End: 120, Members: quarter}},
 			}
 			cfg.Quarantine = Quarantine{Flaps: 2, Window: 40, Cooloff: 25}
+			return cfg
+		}},
+		// Delayed and duplicated messages parked across a checkpoint must
+		// resume with their provenance: a delivery after resume counts
+		// its hop and stamps the traced record's From and Latency exactly
+		// as the uninterrupted run does.
+		{"delay-dup", func(seed uint64, workers int) Config {
+			cfg := base(seed, workers)
+			cfg.Faults = &faults.Plan{Loss: 0.05, DelayProb: 0.2, DelayMax: 6, DupProb: 0.05}
+			cfg.TraceSample = 0.5
 			return cfg
 		}},
 	}

@@ -105,8 +105,8 @@ func TestChurnConservesWeight(t *testing.T) {
 // nullProtocol never migrates — the "no balancing" control.
 type nullProtocol struct{}
 
-func (nullProtocol) Step(s *core.State) core.StepStats { return core.StepStats{} }
-func (nullProtocol) Name() string                      { return "null" }
+func (nullProtocol) ProposeRange(*core.State, int, int, *core.ProposeScratch) {}
+func (nullProtocol) Name() string                                             { return "null" }
 
 // TestHotspotNeedsBalancing routes every arrival to one ingress
 // resource and checks that the migration protocol is what spreads the

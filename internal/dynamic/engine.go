@@ -55,14 +55,11 @@ import (
 //     up list. Shard-concatenation order never feeds a float sum.
 //
 // Together these make the run a pure function of (Config minus
-// Workers/RebalanceEvery), which the cross-worker-count golden tests
-// pin — including mass-failure rounds that evacuate a thousand
-// resources at once. Because every phase produces identical output for
-// ANY contiguous partition, the engine is free to move the shard
-// boundaries at runtime: it times each shard's phases and periodically
-// re-cuts the partition so measured per-shard cost equalises
-// (par.Balance), which keeps skewed workloads from bottlenecking on
-// one worker without touching the determinism contract.
+// Workers), which the cross-worker-count golden tests pin — including
+// mass-failure rounds that evacuate a thousand resources at once. The
+// shards are the fixed equal-count split par.Pool.Shard(n, i); every
+// phase would produce identical output for any contiguous partition,
+// but no measured workload has shown a cost-driven re-cut to pay off.
 //
 // The steady-state hot path is also allocation-free: arrival weights,
 // departure indices, evacuation lists, migration buffers, exchange
@@ -83,9 +80,9 @@ type shard struct {
 	sc        core.ProposeScratch
 }
 
-// rebalanceDefault is the measured-cost shard-resize period when
-// Config.RebalanceEvery is zero.
-const rebalanceDefault = 64
+// telemetryEvery is the period, in rounds, of the lane, shard-cost
+// and phase-timing events an attached broker receives.
+const telemetryEvery = 64
 
 type engine struct {
 	cfg       Config
@@ -94,10 +91,8 @@ type engine struct {
 	minUp     int
 	speeds    []float64 // per-resource speeds; nil = homogeneous
 	dispatch  Dispatch
-	rehome    RehomePolicy       // never nil; UniformRehome{} by default
-	rehomeObs RehomeObserver     // non-nil when the policy tracks the up set
-	proto     core.RangeProposer // nil → sequential Protocol.Step fallback
-	ptuner    PooledTuner        // nil → sequential Tuner.Refresh
+	rehome    RehomePolicy   // never nil; UniformRehome{} by default
+	rehomeObs RehomeObserver // non-nil when the policy tracks the up set
 
 	s  *core.State
 	ts *task.Set
@@ -130,19 +125,14 @@ type engine struct {
 	pool   *par.Pool
 	shards []shard
 	exch   *core.Exchange
-	bounds []int // current shard boundaries, len(shards)+1
+	bounds []int // shard boundaries, len(shards)+1
 
-	// Measured-cost shard sizing and phase profiling: per-shard
-	// per-phase accumulated nanos (measured whenever rebalancing or a
-	// broker wants them), rebalanced every rebalanceEvery rounds
-	// (< 0 = disabled). Boundary placement never affects results, only
-	// the work split.
-	rebalanceEvery int
-	phaseNanos     [][obs.NumPhases]int64
-	seqNanos       [obs.NumPhases]int64 // engine-level phases (arrivals, tune)
-	costBuf        []float64            // per-resource cost scratch (lazily sized n)
-	boundsBuf      []int                // par.Balance output scratch
-	statsBuf       []ShardStat          // OnRebalance scratch
+	// Phase profiling (broker runs only; nil otherwise): per-shard
+	// per-phase accumulated nanos and the engine-level sequential
+	// phases (arrivals, tune), reported and reset every telemetryEvery
+	// rounds.
+	phaseNanos [][obs.NumPhases]int64
+	seqNanos   [obs.NumPhases]int64
 
 	// Streaming observability (nil broker = disabled): events are
 	// published from the engine's sequential sections only, via the
@@ -150,10 +140,9 @@ type engine struct {
 	// events (lanes, shard costs, phase timings) fire every
 	// telemetryEvery rounds; window events ride flush; recovery events
 	// fire as episodes open and close.
-	broker         *obs.Broker
-	domains        []obs.Domains
-	ev             obs.Event
-	telemetryEvery int
+	broker  *obs.Broker
+	domains []obs.Domains
+	ev      obs.Event
 	// Per-shard window accumulators (broker runs only) and the
 	// snapshot scratch the per-shard / per-domain window events reuse.
 	wShardArr, wShardDep, wShardInb []int64
@@ -338,37 +327,9 @@ func newEngine(cfg Config) *engine {
 	e.exch = core.NewExchange(e.bounds)
 	e.broker = cfg.Obs
 	e.domains = cfg.Domains
-	if cfg.OnLanes != nil || e.broker != nil {
+	if e.broker != nil {
 		e.exch.EnableLaneStats()
-	}
-	e.rebalanceEvery = cfg.RebalanceEvery
-	if e.rebalanceEvery == 0 {
-		e.rebalanceEvery = rebalanceDefault
-	}
-	if e.rebalanceEvery > 0 && workers > 1 {
-		// measured-cost rebalancing active
-	} else {
-		e.rebalanceEvery = -1
-	}
-	// The telemetry cadence tracks the rebalance cadence so lane and
-	// phase reports line up with boundary moves; when rebalancing is off
-	// (workers == 1, or pinned with RebalanceEvery < 0) an attached
-	// broker still gets reports at the configured or default period.
-	e.telemetryEvery = -1
-	if e.broker != nil {
-		switch {
-		case e.rebalanceEvery > 0:
-			e.telemetryEvery = e.rebalanceEvery
-		case cfg.RebalanceEvery > 0:
-			e.telemetryEvery = cfg.RebalanceEvery
-		default:
-			e.telemetryEvery = rebalanceDefault
-		}
-	}
-	if e.rebalanceEvery > 0 || e.broker != nil {
 		e.phaseNanos = make([][obs.NumPhases]int64, workers)
-	}
-	if e.broker != nil {
 		e.wShardArr = make([]int64, workers)
 		e.wShardDep = make([]int64, workers)
 		e.wShardInb = make([]int64, workers)
@@ -393,12 +354,6 @@ func newEngine(cfg Config) *engine {
 				e.alertActive[i] = make([]bool, len(e.domains[i].Names))
 			}
 		}
-	}
-	if core.CanPropose(cfg.Protocol) {
-		e.proto = cfg.Protocol.(core.RangeProposer)
-	}
-	if pt, ok := cfg.Tuner.(PooledTuner); ok {
-		e.ptuner = pt
 	}
 	e.loadBuf = make([]float64, 0, n)
 	e.sortBuf = make([]float64, 0, n)
@@ -484,7 +439,7 @@ func (e *engine) run() (Result, error) {
 }
 
 // step runs round t plus all of its boundary work — window flush,
-// telemetry/rebalance, checkpoint, scripted crash — and advances
+// telemetry, checkpoint, scripted crash — and advances
 // nextRound. It is the single round-granularity unit both run() and
 // the external-input Engine.Step drive.
 func (e *engine) step(t int) error {
@@ -495,25 +450,13 @@ func (e *engine) step(t int) error {
 	if (t+1)%e.window == 0 {
 		e.flush(t + 1)
 	}
-	// Telemetry emission and measured-cost rebalancing share one
-	// cadence (and one accumulator reset): a shared period means a
-	// lane/phase report always describes exactly one rebalance
-	// window, never a partial one.
-	doTel := e.telemetryEvery > 0 && (t+1)%e.telemetryEvery == 0
-	doReb := e.rebalanceEvery > 0 && (t+1)%e.rebalanceEvery == 0
-	if doTel {
+	if e.broker != nil && (t+1)%telemetryEvery == 0 {
 		e.emitTelemetry(t + 1)
 	}
-	if doReb {
-		e.rebalance(t + 1)
-	}
-	if doTel || doReb {
-		e.resetTelemetry()
-	}
-	// Checkpoint at the boundary, after the flush/telemetry/rebalance
-	// hooks, so the snapshot captures a fully settled round. The crash
-	// check runs after the checkpoint: a run killed at its checkpoint
-	// round still leaves that round's snapshot behind.
+	// Checkpoint at the boundary, after the flush and telemetry hooks,
+	// so the snapshot captures a fully settled round. The crash check
+	// runs after the checkpoint: a run killed at its checkpoint round
+	// still leaves that round's snapshot behind.
 	if e.cfg.CheckpointEvery > 0 && (t+1)%e.cfg.CheckpointEvery == 0 {
 		if err := e.checkpoint(t + 1); err != nil {
 			return err
@@ -540,9 +483,8 @@ func (e *engine) finish() (Result, error) {
 	}
 	// A trailing partial telemetry window still gets reported, so short
 	// runs (and the tail of any run) see lane and phase series.
-	if e.telemetryEvery > 0 && end%e.telemetryEvery != 0 {
+	if e.broker != nil && end%telemetryEvery != 0 {
 		e.emitTelemetry(end)
-		e.resetTelemetry()
 	}
 	e.res.Rounds = end
 	e.res.FinalInFlight = e.ts.Live()
@@ -697,19 +639,12 @@ func (e *engine) round(t int) error {
 	// neither the tuner nor the protocol recomputes it mid-phase.
 	s.LiveWMax()
 
-	// 4. Online threshold refresh, on the pool when the tuner supports
-	// sharded sweeps.
-	// The tuner refreshes over the REACHABLE set, so during a partition
-	// window thresholds pre-compensate for the unreachable speed-mass
-	// (reach aliases up on partition-free runs).
+	// 4. Online threshold refresh, its sweeps on the pool. The tuner
+	// refreshes over the REACHABLE set, so during a partition window
+	// thresholds pre-compensate for the unreachable speed-mass (reach
+	// aliases up on partition-free runs).
 	tuneStart := e.seqStart()
-	var thr []float64
-	if e.ptuner != nil {
-		thr = e.ptuner.RefreshPooled(t, s, reach, e.pool)
-	} else {
-		thr = e.cfg.Tuner.Refresh(t, s, reach)
-	}
-	if thr != nil {
+	if thr := e.cfg.Tuner.Refresh(t, s, reach, e.pool); thr != nil {
 		s.SetThresholds(thr)
 	}
 	e.seqDone(obs.PhaseTune, tuneStart)
@@ -720,27 +655,22 @@ func (e *engine) round(t int) error {
 	// canonical (destination, task ID) order — no sequential delivery
 	// section. Finish folds the stats in a partition-independent order
 	// and advances the round.
-	var st core.StepStats
-	if e.proto != nil {
-		e.pool.Run(len(e.shards), e.proposeFn)
-		if e.traceOn {
-			// Shards are contiguous and ordered, so a shard-ascending
-			// drain is resource-ascending — the same canonical order for
-			// every partition.
-			for i := range e.shards {
-				sh := &e.shards[i]
-				for j := range sh.traceRecs {
-					e.emitTrace(&sh.traceRecs[j])
-				}
-				sh.traceRecs = sh.traceRecs[:0]
+	e.pool.Run(len(e.shards), e.proposeFn)
+	if e.traceOn {
+		// Shards are contiguous and ordered, so a shard-ascending drain
+		// is resource-ascending — the same canonical order for every
+		// partition.
+		for i := range e.shards {
+			sh := &e.shards[i]
+			for j := range sh.traceRecs {
+				e.emitTrace(&sh.traceRecs[j])
 			}
+			sh.traceRecs = sh.traceRecs[:0]
 		}
-		e.pool.Run(len(e.shards), e.deliverFn)
-		st = e.exch.Finish(s, true)
-		e.noteInbound()
-	} else {
-		st = e.cfg.Protocol.Step(s)
 	}
+	e.pool.Run(len(e.shards), e.deliverFn)
+	st := e.exch.Finish(s, true)
+	e.noteInbound()
 	e.res.Migrations += int64(st.Migrations)
 	e.res.MovedWeight += st.MovedWeight
 	e.wMigrations += int64(st.Migrations)
@@ -1178,7 +1108,7 @@ func (e *engine) proposeShard(i int) {
 	start := e.phaseStart()
 	sh := &e.shards[i]
 	sh.sc.Moves = sh.sc.Moves[:0]
-	e.proto.ProposeRange(e.s, sh.lo, sh.hi, &sh.sc)
+	e.cfg.Protocol.ProposeRange(e.s, sh.lo, sh.hi, &sh.sc)
 	moves := sh.sc.Moves
 	if e.inj != nil {
 		// The fault layer sits between propose and deliver: stateless
@@ -1264,9 +1194,9 @@ func (e *engine) evacShard(i int) {
 }
 
 // phaseStart/phaseDone time one shard's slice of a parallel phase for
-// measured-cost sizing and phase profiling. Each shard index is
-// handled by exactly one worker per phase and the pool barrier orders
-// the writes, so the plain int64 accumulation is race-free.
+// the phase profile (broker runs only). Each shard index is handled by
+// exactly one worker per phase and the pool barrier orders the writes,
+// so the plain int64 accumulation is race-free.
 func (e *engine) phaseStart() time.Time {
 	if e.phaseNanos == nil {
 		return time.Time{}
@@ -1298,7 +1228,7 @@ func (e *engine) seqDone(p obs.PhaseID, start time.Time) {
 }
 
 // shardPhaseSum folds shard i's accumulated phase nanos into the one
-// per-shard cost measured-cost sizing balances on.
+// per-shard cost the shard-cost event reports.
 func (e *engine) shardPhaseSum(i int) int64 {
 	var sum int64
 	for _, ns := range e.phaseNanos[i] {
@@ -1318,58 +1248,12 @@ func (e *engine) noteInbound() {
 	}
 }
 
-// rebalance re-cuts the shard partition so measured per-shard phase
-// cost equalises: each resource is charged its old shard's average
-// cost, and par.Balance places the new boundaries. Runs every
-// rebalanceEvery rounds; results are unaffected (every phase is
-// partition-invariant), only the work split moves.
-func (e *engine) rebalance(round int) {
-	if e.cfg.OnLanes != nil {
-		e.cfg.OnLanes(round, len(e.shards), e.exch.LaneCounts())
-	}
-	if e.cfg.OnRebalance != nil {
-		e.statsBuf = e.statsBuf[:0]
-		for i := range e.shards {
-			e.statsBuf = append(e.statsBuf, ShardStat{
-				Lo: e.shards[i].lo, Hi: e.shards[i].hi, Nanos: e.shardPhaseSum(i),
-			})
-		}
-		e.cfg.OnRebalance(round, e.statsBuf)
-	}
-	total := int64(0)
-	for i := range e.shards {
-		total += e.shardPhaseSum(i)
-	}
-	if total > 0 {
-		if e.costBuf == nil {
-			e.costBuf = make([]float64, e.n)
-		}
-		for i := range e.shards {
-			sh := &e.shards[i]
-			avg := float64(e.shardPhaseSum(i)) / float64(sh.hi-sh.lo)
-			for r := sh.lo; r < sh.hi; r++ {
-				e.costBuf[r] = avg
-			}
-		}
-		e.boundsBuf = par.Balance(e.costBuf, len(e.shards), e.boundsBuf)
-		copy(e.bounds, e.boundsBuf)
-		for i := range e.shards {
-			e.shards[i].lo, e.shards[i].hi = e.bounds[i], e.bounds[i+1]
-		}
-		e.exch.SetBounds(e.bounds)
-	}
-}
-
 // emitTelemetry publishes the telemetry window closing at `round`:
 // per-destination-shard inbound lane totals, per-shard cost and phase
-// profiles, and the engine-level sequential phase profile. Runs in the
-// sequential section between rounds; resetTelemetry zeroes the
-// accumulators afterwards (shared with rebalance, which reads the same
-// nanos).
+// profiles, and the engine-level sequential phase profile — then zeroes
+// the lane and phase accumulators for the next window. Runs in the
+// sequential section between rounds, broker runs only.
 func (e *engine) emitTelemetry(round int) {
-	if e.broker == nil {
-		return
-	}
 	w := len(e.shards)
 	if lanes := e.exch.LaneCounts(); lanes != nil {
 		for j := 0; j < w; j++ {
@@ -1411,11 +1295,6 @@ func (e *engine) emitTelemetry(round int) {
 		}}
 		e.broker.Publish(&e.ev)
 	}
-}
-
-// resetTelemetry zeroes the lane and phase accumulators after a
-// telemetry report and/or rebalance consumed them.
-func (e *engine) resetTelemetry() {
 	e.exch.ResetLaneCounts()
 	for i := range e.phaseNanos {
 		e.phaseNanos[i] = [obs.NumPhases]int64{}

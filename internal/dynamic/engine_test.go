@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/walk"
@@ -124,10 +125,10 @@ func TestWorkersExceedingResources(t *testing.T) {
 	}
 }
 
-// TestNonRangeProtocolFallback runs a protocol without ProposeRange
-// through the sharded engine: it must fall back to sequential Step and
-// still be worker-count-invariant.
-func TestNonRangeProtocolFallback(t *testing.T) {
+// TestNullProtocolWorkerInvariant runs a protocol that never proposes a
+// move through the sharded engine: the empty propose and delivery
+// phases must still be worker-count-invariant.
+func TestNullProtocolWorkerInvariant(t *testing.T) {
 	g := graph.Complete(50)
 	build := func(workers int) Config {
 		return Config{
@@ -151,7 +152,7 @@ func TestNonRangeProtocolFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("fallback path diverged across workers:\ngot  %+v\nwant %+v", got, ref)
+		t.Fatalf("null protocol diverged across workers:\ngot  %+v\nwant %+v", got, ref)
 	}
 	if got.Migrations != 0 {
 		t.Fatalf("null protocol migrated: %+v", got)
@@ -488,61 +489,51 @@ func TestChurnEventsRespectMinUp(t *testing.T) {
 	}
 }
 
-// TestMeasuredCostRebalance drives the measured-cost shard sizing with
-// a deliberately skewed workload (hotspot ingress) and checks the
-// observability contract: OnRebalance fires on the configured period
-// with a valid, cost-annotated partition — and the run still matches
-// the equal-partition run bit for bit, because boundary placement can
-// never leak into results.
-func TestMeasuredCostRebalance(t *testing.T) {
-	g := graph.Complete(200)
-	build := func(every int, hook func(int, []ShardStat)) Config {
-		return Config{
-			Graph:          g,
-			Protocol:       core.UserControlled{Alpha: 1},
-			Arrivals:       Poisson{Rate: 0.8 * 200 / paretoMean, Weights: task.Pareto{Alpha: 2, Cap: 20}},
-			Service:        WeightProportional{Rate: 1},
-			Dispatch:       HotspotDispatch{Resource: 7},
-			Tuner:          &OracleTuner{Eps: 0.5},
-			Rounds:         200,
-			Window:         50,
-			Seed:           12,
-			Workers:        4,
-			RebalanceEvery: every,
-			OnRebalance:    hook,
-		}
-	}
-	calls := 0
-	ref, err := Run(build(-1, nil)) // pinned equal partition
+// TestFixedShardSplit pins the shard partition: on a deliberately
+// skewed workload (hotspot ingress) with 3 workers and a broker
+// attached, every telemetry window's shard-cost events carry exactly
+// the pool's equal-count split — the boundaries never move.
+func TestFixedShardSplit(t *testing.T) {
+	const n, workers = 200, 3
+	g := graph.Complete(n)
+	broker := obs.NewBroker()
+	sub := broker.Subscribe(obs.SubOptions{Capacity: 1 << 12, Kinds: obs.Mask(obs.KindShardCost)})
+	_, err := Run(Config{
+		Graph:    g,
+		Protocol: core.UserControlled{Alpha: 1},
+		Arrivals: Poisson{Rate: 0.8 * n / paretoMean, Weights: task.Pareto{Alpha: 2, Cap: 20}},
+		Service:  WeightProportional{Rate: 1},
+		Dispatch: HotspotDispatch{Resource: 7},
+		Tuner:    &OracleTuner{Eps: 0.5},
+		Rounds:   200,
+		Window:   50,
+		Seed:     12,
+		Workers:  workers,
+		Obs:      broker,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(build(25, func(round int, sts []ShardStat) {
-		calls++
-		if round%25 != 0 {
-			t.Fatalf("rebalance at round %d with period 25", round)
+	broker.Close()
+	pool := par.NewPool(workers)
+	defer pool.Close()
+	perRound := map[int]int{}
+	for _, ev := range drainAll(sub) {
+		c := ev.ShardCost
+		lo, hi := pool.Shard(n, c.Shard)
+		if c.Lo != lo || c.Hi != hi {
+			t.Fatalf("round %d: shard %d covers [%d,%d), want the fixed split [%d,%d)",
+				ev.Round, c.Shard, c.Lo, c.Hi, lo, hi)
 		}
-		if len(sts) != 4 {
-			t.Fatalf("rebalance saw %d shards", len(sts))
-		}
-		prev := 0
-		for _, st := range sts {
-			if st.Lo != prev || st.Hi <= st.Lo {
-				t.Fatalf("invalid shard partition %+v", sts)
-			}
-			prev = st.Hi
-		}
-		if prev != 200 {
-			t.Fatalf("partition does not cover the range: %+v", sts)
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
+		perRound[ev.Round]++
 	}
-	if calls != 8 {
-		t.Fatalf("OnRebalance fired %d times over 200 rounds at period 25", calls)
+	// Windows close at rounds 64, 128, 192 and the trailing 200.
+	if len(perRound) != 4 {
+		t.Fatalf("shard-cost events in %d telemetry windows, want 4: %v", len(perRound), perRound)
 	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("measured-cost boundaries changed the run:\ngot  %+v\nwant %+v", got, ref)
+	for round, k := range perRound {
+		if k != workers {
+			t.Fatalf("round %d: %d shard-cost events, want %d", round, k, workers)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func drainAll(sub *obs.Subscription) []obs.Event {
 
 // TestObserverDeterminism is the golden observer test: attaching the
 // full observability stack — a broker with an all-kinds subscription,
-// per-shard windows, domain windows, OnWindow and OnLanes — must leave
+// per-shard windows, domain windows and OnWindow — must leave
 // the Result bit-for-bit identical to the unobserved run for every
 // worker count, and the fleet-level event stream (windows, domain
 // windows, recovery episodes) must itself be identical across worker
@@ -73,9 +73,8 @@ func TestObserverDeterminism(t *testing.T) {
 			broker := obs.NewBroker()
 			cfg.Obs = broker
 			sub := broker.Subscribe(obs.SubOptions{Capacity: 1 << 15})
-			var windowEnds, laneRounds []int
+			var windowEnds []int
 			cfg.OnWindow = func(w WindowStats) { windowEnds = append(windowEnds, w.End) }
-			cfg.OnLanes = func(round, _ int, _ []int64) { laneRounds = append(laneRounds, round) }
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("seed %d workers %d observed: %v", seed, workers, err)
@@ -102,13 +101,21 @@ func TestObserverDeterminism(t *testing.T) {
 					t.Fatalf("seed %d workers %d: OnWindow out of round order: %v", seed, workers, windowEnds)
 				}
 			}
-			for i := 1; i < len(laneRounds); i++ {
-				if laneRounds[i] <= laneRounds[i-1] {
-					t.Fatalf("seed %d workers %d: OnLanes out of round order: %v", seed, workers, laneRounds)
+			evs := drainAll(sub)
+			var laneRounds []int
+			for _, ev := range evs {
+				if ev.Kind == obs.KindLanes {
+					laneRounds = append(laneRounds, ev.Round)
 				}
 			}
-
-			evs := drainAll(sub)
+			if len(laneRounds) == 0 {
+				t.Fatalf("seed %d workers %d: no lane events published", seed, workers)
+			}
+			for i := 1; i < len(laneRounds); i++ {
+				if laneRounds[i] < laneRounds[i-1] {
+					t.Fatalf("seed %d workers %d: lane events out of round order: %v", seed, workers, laneRounds)
+				}
+			}
 			if sub.Dropped() != 0 {
 				t.Fatalf("seed %d workers %d: capacity-%d subscription dropped %d events",
 					seed, workers, 1<<15, sub.Dropped())

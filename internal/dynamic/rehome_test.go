@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/task"
 )
 
@@ -240,51 +241,41 @@ func TestNilRehomeMatchesUniform(t *testing.T) {
 	}
 }
 
-// TestOnLanesTelemetry pins the exchange backpressure hook: with a
-// range-capable protocol every routed move — protocol migrations AND
-// churn evacuations — shows up in the lane matrix, the reports arrive
-// on the rebalance cadence, and enabling the hook does not change the
-// run.
-func TestOnLanesTelemetry(t *testing.T) {
-	build := func(hook func(int, int, []int64)) Config {
-		g := graph.Complete(120)
-		cfg := listEventConfig(120, 13, 4, nil)
-		cfg.Graph = g
-		cfg.RebalanceEvery = 30
-		cfg.OnLanes = hook
-		return cfg
-	}
-	ref, err := Run(build(nil))
+// TestLaneTelemetry pins the exchange backpressure telemetry: every
+// routed move — protocol migrations AND churn evacuations — shows up in
+// the broker's KindLanes inbound totals, the reports arrive on the
+// 64-round telemetry cadence plus the trailing partial window, and
+// attaching the broker does not change the run.
+func TestLaneTelemetry(t *testing.T) {
+	ref, err := Run(listEventConfig(120, 13, 4, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := listEventConfig(120, 13, 4, nil)
+	broker := obs.NewBroker()
+	sub := broker.Subscribe(obs.SubOptions{Capacity: 1 << 12, Kinds: obs.Mask(obs.KindLanes)})
+	cfg.Obs = broker
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker.Close()
 	var total int64
-	reports := 0
-	res, err := Run(build(func(round, workers int, counts []int64) {
-		reports++
-		if round%30 != 0 {
-			t.Fatalf("lane report at round %d with period 30", round)
+	rounds := map[int]int{}
+	for _, ev := range drainAll(sub) {
+		if ev.Lane.Shard < 0 || ev.Lane.Shard >= 4 || ev.Lane.Inbound < 0 {
+			t.Fatalf("bad lane event %+v", ev.Lane)
 		}
-		if workers != 4 || len(counts) != 16 {
-			t.Fatalf("lane report shape: workers=%d len=%d", workers, len(counts))
-		}
-		for _, c := range counts {
-			if c < 0 {
-				t.Fatalf("negative lane count in %v", counts)
-			}
-			total += c
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
+		rounds[ev.Round]++
+		total += ev.Lane.Inbound
 	}
-	if reports != 4 {
-		t.Fatalf("OnLanes fired %d times over 120 rounds at period 30", reports)
+	if len(rounds) != 2 || rounds[64] != 4 || rounds[120] != 4 {
+		t.Fatalf("lane reports per round %v, want 4 shards at rounds 64 and 120", rounds)
 	}
 	if want := res.Migrations + res.Rehomed; total != want {
 		t.Fatalf("lane counts sum to %d, want migrations+rehomed = %d", total, want)
 	}
 	if !reflect.DeepEqual(res, ref) {
-		t.Fatal("enabling OnLanes changed the run")
+		t.Fatal("attaching the broker changed the run")
 	}
 }

@@ -18,20 +18,13 @@ import (
 type Tuner interface {
 	// Refresh observes the post-round state and returns a fresh
 	// threshold vector when an update is due, or nil to keep the
-	// current one.
-	Refresh(round int, s *core.State, up *UpSet) []float64
+	// current one. Per-resource sweeps may run on pool (the engine's
+	// worker pool; nil runs them inline), and the returned vector must
+	// be bit-identical for every pool size — each output entry is
+	// computed by exactly one worker with a fixed-order inner loop.
+	Refresh(round int, s *core.State, up *UpSet, pool *par.Pool) []float64
 	// Name identifies the tuner in reports.
 	Name() string
-}
-
-// PooledTuner is implemented by tuners whose per-resource sweeps
-// (decaying averages, diffusion steps) can run on the engine's worker
-// pool. RefreshPooled must return bit-identical vectors for every
-// worker count, including the plain Refresh path — each output entry
-// is computed by exactly one worker with a fixed-order inner loop.
-type PooledTuner interface {
-	Tuner
-	RefreshPooled(round int, s *core.State, up *UpSet, pool *par.Pool) []float64
 }
 
 // SpeedAwareTuner is implemented by tuners that generalise their
@@ -65,8 +58,8 @@ type OracleTuner struct {
 // SetSpeeds implements SpeedAwareTuner.
 func (o *OracleTuner) SetSpeeds(speeds []float64) { o.speeds = speeds }
 
-// Refresh implements Tuner.
-func (o *OracleTuner) Refresh(round int, s *core.State, up *UpSet) []float64 {
+// Refresh implements Tuner. The oracle's O(n) fill needs no pool.
+func (o *OracleTuner) Refresh(round int, s *core.State, up *UpSet, _ *par.Pool) []float64 {
 	if o.Eps <= 0 {
 		panic("dynamic: OracleTuner.Eps must be > 0")
 	}
@@ -203,14 +196,9 @@ func (st *SelfTuner) SetSpeeds(speeds []float64) {
 	st.speeds = speeds
 }
 
-// Refresh implements Tuner (the single-worker sweep).
-func (st *SelfTuner) Refresh(round int, s *core.State, up *UpSet) []float64 {
-	return st.RefreshPooled(round, s, up, nil)
-}
-
-// RefreshPooled implements PooledTuner. A nil pool runs the sweeps
-// inline; any pool produces bit-identical thresholds.
-func (st *SelfTuner) RefreshPooled(round int, s *core.State, up *UpSet, pool *par.Pool) []float64 {
+// Refresh implements Tuner. A nil pool runs the sweeps inline; any
+// pool produces bit-identical thresholds.
+func (st *SelfTuner) Refresh(round int, s *core.State, up *UpSet, pool *par.Pool) []float64 {
 	if st.Eps <= 0 {
 		panic("dynamic: SelfTuner.Eps must be > 0")
 	}

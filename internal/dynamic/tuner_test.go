@@ -39,7 +39,7 @@ func TestSelfTunerDownAware(t *testing.T) {
 	tun.Steps = 16 // complete graph mixes in one step; a few settle rounding
 	var thr []float64
 	for round := 0; round < 300; round++ {
-		if v := tun.Refresh(round, s, up); v != nil {
+		if v := tun.Refresh(round, s, up, nil); v != nil {
 			thr = v
 		}
 	}
@@ -75,7 +75,7 @@ func TestSelfTunerChurnlessUnchanged(t *testing.T) {
 	tun := NewSelfTuner(walk.NewLazy(walk.NewMaxDegree(g)), 0.5)
 	var thr []float64
 	for round := 0; round < 200; round++ {
-		if v := tun.Refresh(round, s, up); v != nil {
+		if v := tun.Refresh(round, s, up, nil); v != nil {
 			thr = v
 		}
 	}
@@ -128,7 +128,7 @@ func TestSelfTunerProportionalTargets(t *testing.T) {
 	tun.SetSpeeds(speeds)
 	var thr []float64
 	for round := 0; round < 400; round++ {
-		if v := tun.Refresh(round, s, up); v != nil {
+		if v := tun.Refresh(round, s, up, nil); v != nil {
 			thr = v
 		}
 	}
@@ -148,7 +148,7 @@ func TestSelfTunerProportionalTargets(t *testing.T) {
 	// land on core.Proportional restricted to the up capacity exactly.
 	oracle := &OracleTuner{Eps: eps}
 	oracle.SetSpeeds(speeds)
-	othr := oracle.Refresh(0, s, up)
+	othr := oracle.Refresh(0, s, up, nil)
 	for i := 0; i < up.N(); i++ {
 		r := up.At(i)
 		want := (1+eps)*(w/sUp)*speeds[r] + wmax
@@ -184,7 +184,7 @@ func TestSelfTunerHomogeneousSpeedsMatchUniform(t *testing.T) {
 	tun.SetSpeeds(ones)
 	var thr []float64
 	for round := 0; round < 200; round++ {
-		if v := tun.Refresh(round, s, up); v != nil {
+		if v := tun.Refresh(round, s, up, nil); v != nil {
 			thr = v
 		}
 	}
@@ -224,7 +224,7 @@ func TestSelfTunerRecoversAfterRejoin(t *testing.T) {
 		}
 	}
 	for round := 0; round < 300; round++ {
-		tun.Refresh(round, s, up)
+		tun.Refresh(round, s, up, nil)
 	}
 	// Phase 2: everyone rejoins and the load respreads.
 	for r := n / 2; r < n; r++ {
@@ -237,7 +237,7 @@ func TestSelfTunerRecoversAfterRejoin(t *testing.T) {
 	}
 	var thr []float64
 	for round := 0; round < 600; round++ {
-		if v := tun.Refresh(round, s, up); v != nil {
+		if v := tun.Refresh(round, s, up, nil); v != nil {
 			thr = v
 		}
 	}

@@ -10,7 +10,10 @@ import (
 // the in-flight ledger, the delay wheel (every slot, in-slot order
 // preserved: Tick walks slots verbatim, so order is semantic), the
 // dedup table, the token allocator, the partition groups and the
-// cumulative counters — serializes in full. The per-shard scratch,
+// cumulative counters — serializes in full. Wheel entries keep their
+// provenance (source resource and send round): a delivery after resume
+// needs both to count the hop and to stamp the trace record's From and
+// Latency exactly as the uninterrupted run does. The per-shard scratch,
 // the transition map and the delta buffers are transient: they are
 // rebuilt by NewInjector or repopulated within a round. The partition
 // group vector must be saved rather than recomputed because
@@ -37,8 +40,10 @@ func (inj *Injector) EncodeSnapshot(enc *snapshot.Encoder) {
 		for _, wr := range slot {
 			enc.Int(wr.tk.ID)
 			enc.Float64(wr.tk.Weight)
+			enc.Int32(wr.src)
 			enc.Int32(wr.dest)
 			enc.Int32(wr.due)
+			enc.Int32(wr.sent)
 			enc.Uint64(wr.token)
 		}
 	}
@@ -87,8 +92,10 @@ func (inj *Injector) DecodeSnapshot(sec *snapshot.Section) error {
 			var wr wheelRec
 			wr.tk.ID = sec.Int()
 			wr.tk.Weight = sec.Float64()
+			wr.src = sec.Int32()
 			wr.dest = sec.Int32()
 			wr.due = sec.Int32()
+			wr.sent = sec.Int32()
 			wr.token = sec.Uint64()
 			inj.wheel[i] = append(inj.wheel[i], wr)
 		}

@@ -42,7 +42,7 @@ const (
 	KindLanes
 	// KindShardCost carries one shard's resource range and its
 	// accumulated measured phase cost since the previous telemetry
-	// report — the measured-cost shard-sizing input.
+	// report — the per-shard load-imbalance signal.
 	KindShardCost
 	// KindPhase carries one shard's per-phase wall-clock nanos since
 	// the previous telemetry report (Shard == -1 carries the engine's
@@ -223,9 +223,8 @@ type WindowStats struct {
 // the window's last round; the rates count traffic attributed to the
 // shard over the window (arrivals dispatched into it, departures
 // served by it, and exchange deliveries — protocol migrations plus
-// evacuation re-homes — merged into it). Shard boundaries can move
-// mid-window under measured-cost rebalancing; Lo/Hi report the range
-// owned at the window's end.
+// evacuation re-homes — merged into it). Shard boundaries are the
+// engine's fixed equal-count split.
 type ShardWindowStats struct {
 	Shard int `json:"shard"`
 	Lo    int `json:"lo"`
@@ -286,8 +285,7 @@ type LaneStats struct {
 
 // ShardStat reports one shard's resource range and the wall-clock
 // nanos its sharded phases (service, propose, deliver, evacuate)
-// consumed since the previous report — the observability surface of
-// measured-cost shard sizing.
+// consumed since the previous report.
 type ShardStat struct {
 	// Lo, Hi delimit the resource range [Lo, Hi) the shard owned.
 	Lo    int   `json:"lo"`

@@ -99,50 +99,3 @@ func (p *Pool) Shard(n, i int) (lo, hi int) {
 	w := p.workers
 	return i * n / w, (i + 1) * n / w
 }
-
-// Balance computes a cost-weighted contiguous partition of
-// len(costs) items into w shards: boundaries are placed so every
-// shard's summed cost approaches total/w, while each shard keeps at
-// least one item. This is the measured-cost shard sizing used by the
-// dynamic engine — costs come from observed per-shard round nanos, so
-// skewed workloads (hotspots, clumped churn) stop bottlenecking on one
-// worker. The result is appended to bounds[:0] and returned
-// (len w+1, bounds[0] = 0, bounds[w] = len(costs)), so steady-state
-// rebalancing allocates nothing once the buffer is warm.
-//
-// Balance is a pure function of its inputs; callers that need
-// partition-independent results (the engine's determinism contract)
-// get them because every sharded phase produces identical output for
-// ANY contiguous partition — the boundary placement only moves work
-// between workers.
-func Balance(costs []float64, w int, bounds []int) []int {
-	n := len(costs)
-	if w < 1 || n < w {
-		panic("par: Balance needs 1 <= w <= len(costs)")
-	}
-	total := 0.0
-	for _, c := range costs {
-		total += c
-	}
-	bounds = append(bounds[:0], 0)
-	if total <= 0 {
-		// No signal: fall back to the equal-count partition.
-		for j := 1; j <= w; j++ {
-			bounds = append(bounds, j*n/w)
-		}
-		return bounds
-	}
-	target := total / float64(w)
-	cum := 0.0
-	j := 1
-	for i := 0; i < n && j < w; i++ {
-		cum += costs[i]
-		// Cut after item i once shard j's cumulative goal is met, or as
-		// late as still leaves one item for every remaining shard.
-		if cum >= float64(j)*target || n-(i+1) == w-j {
-			bounds = append(bounds, i+1)
-			j++
-		}
-	}
-	return append(bounds, n)
-}

@@ -76,73 +76,3 @@ func BenchmarkPoolBarrier(b *testing.B) {
 		p.Run(4, fn)
 	}
 }
-
-// checkBounds validates the Balance partition contract: w+1 strictly
-// increasing boundaries covering [0, n).
-func checkBounds(t *testing.T, bounds []int, n, w int) {
-	t.Helper()
-	if len(bounds) != w+1 {
-		t.Fatalf("got %d boundaries for %d shards: %v", len(bounds), w, bounds)
-	}
-	if bounds[0] != 0 || bounds[w] != n {
-		t.Fatalf("bounds do not cover [0,%d): %v", n, bounds)
-	}
-	for j := 0; j < w; j++ {
-		if bounds[j+1] <= bounds[j] {
-			t.Fatalf("empty shard %d in %v", j, bounds)
-		}
-	}
-}
-
-func TestBalanceEqualCosts(t *testing.T) {
-	costs := make([]float64, 12)
-	for i := range costs {
-		costs[i] = 1
-	}
-	bounds := Balance(costs, 4, nil)
-	checkBounds(t, bounds, 12, 4)
-	for j := 0; j < 4; j++ {
-		if got := bounds[j+1] - bounds[j]; got != 3 {
-			t.Fatalf("equal costs should split evenly, got %v", bounds)
-		}
-	}
-}
-
-func TestBalanceSkewedCosts(t *testing.T) {
-	// One item carries half the total cost: its shard should hold far
-	// fewer items than the others.
-	costs := make([]float64, 100)
-	for i := range costs {
-		costs[i] = 1
-	}
-	costs[0] = 99
-	bounds := Balance(costs, 4, nil)
-	checkBounds(t, bounds, 100, 4)
-	if first := bounds[1] - bounds[0]; first > 2 {
-		t.Fatalf("hot item not isolated: first shard holds %d items (%v)", first, bounds)
-	}
-}
-
-func TestBalanceZeroTotalFallsBackToEqualSplit(t *testing.T) {
-	costs := make([]float64, 10)
-	bounds := Balance(costs, 3, nil)
-	checkBounds(t, bounds, 10, 3)
-	want := []int{0, 3, 6, 10}
-	for i, b := range want {
-		if bounds[i] != b {
-			t.Fatalf("zero-cost fallback %v, want %v", bounds, want)
-		}
-	}
-}
-
-func TestBalanceEveryShardNonEmptyUnderExtremes(t *testing.T) {
-	// All the cost on the last item: earlier shards must still get one
-	// item each (the forced-cut path).
-	costs := make([]float64, 6)
-	costs[5] = 1
-	bounds := Balance(costs, 6, nil)
-	checkBounds(t, bounds, 6, 6)
-	// Buffer reuse must not change the result.
-	again := Balance(costs, 6, bounds)
-	checkBounds(t, again, 6, 6)
-}

@@ -42,8 +42,9 @@ import (
 )
 
 // Version is the current snapshot format revision. Decoders reject
-// files written by a different revision.
-const Version = 1
+// files written by a different revision. Revision 2 added the delay
+// wheel's per-entry source resource and send round.
+const Version = 2
 
 const (
 	magic      = "LBSNAP\r\n"
