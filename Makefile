@@ -10,15 +10,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Parallel-sensitive packages under the race detector (mirrors the CI
-# race job: the exchange and evacuation tests run real multi-worker
-# phases, so the detector sees the concurrent paths).
+# Parallel-sensitive packages under the race detector (the CI race job
+# runs this target: the exchange and evacuation tests run real
+# multi-worker phases, so the detector sees the concurrent paths).
 race:
 	$(GO) test -race ./internal/core ./internal/dynamic ./internal/faults ./internal/obs ./internal/par ./internal/recovery ./internal/serve ./internal/sim ./internal/snapshot ./internal/stack ./internal/task ./internal/trace
 
 # Coverage-guided fuzz of the trace/speed-profile/topology parsers and
-# the JSONL event-sink reader (mirrors the CI smoke job; go accepts one
-# -fuzz target per invocation).
+# the JSONL event-sink reader (the CI fuzz smoke job runs this target;
+# go accepts one -fuzz target per invocation).
 fuzz:
 	for target in FuzzReadTraceCSV FuzzReadTraceJSONL FuzzReadSpeedsCSV FuzzReadSpeedsJSONL; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/dynamic || exit 1; \

@@ -378,6 +378,150 @@ func TestResumeRejectsCorruptSnapshots(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsShortTaskVectors pins the restore-side length
+// checks on the vectors indexed by task ID: a sealed snapshot whose
+// service, arrival-round or hop-count vector is shorter than the task
+// set's ID space must fail Resume with an error naming that space, not
+// load and then index out of range in Run. (The location map and the
+// stacked task IDs are checked in core's TestStateSnapshotChecks.)
+func TestResumeRejectsShortTaskVectors(t *testing.T) {
+	snap := writeSmallSnapshot(t)
+	cases := []struct {
+		name string
+		cut  func(e *engine)
+	}{
+		{"remaining", func(e *engine) { e.remaining = e.remaining[:len(e.remaining)/2] }},
+		{"trace", func(e *engine) {
+			e.arrT = e.arrT[:len(e.arrT)/2]
+			e.hopCnt = e.hopCnt[:len(e.hopCnt)/2]
+		}},
+		{"arrT", func(e *engine) { e.arrT = e.arrT[:len(e.arrT)/2] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := Resume(bytes.NewReader(snap), smallCkptConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.cut(eng.e)
+			var buf bytes.Buffer
+			if err := eng.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			eng.Close()
+			bad, err := Resume(&buf, smallCkptConfig())
+			if err == nil {
+				bad.Close()
+				t.Fatalf("snapshot with a short %s vector loaded silently", tc.name)
+			}
+			if !strings.Contains(err.Error(), "task IDs") {
+				t.Fatalf("short %s vector: error %q does not name the task-ID space", tc.name, err)
+			}
+		})
+	}
+}
+
+// TestResumeAfterTaskSetCompaction pins the other side of those
+// checks: once a drained burst lets the task set compact its ID space,
+// the engine's task-ID vectors stay longer than the set (they never
+// shrink), and a checkpoint taken then must still resume into the
+// uninterrupted run.
+func TestResumeAfterTaskSetCompaction(t *testing.T) {
+	build := func() Config {
+		burst := make([]float64, 4000)
+		for i := range burst {
+			burst[i] = 1
+		}
+		rounds := make([][]float64, 400)
+		rounds[0], rounds[300] = burst, []float64{1, 1}
+		g := graph.Complete(50)
+		return Config{
+			Graph:    g,
+			Protocol: core.UserControlled{Alpha: 1},
+			Arrivals: Trace{Rounds: rounds},
+			Service:  WeightProportional{Rate: 1},
+			Tuner:    &OracleTuner{Eps: 0.5},
+			Rounds:   400,
+			Window:   50,
+			Seed:     1,
+		}
+	}
+	full, err := Run(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := build()
+	cfg.CheckpointEvery = 350
+	cfg.CrashAfterRound = 350
+	var snap []byte
+	var compacted bool
+	cfg.OnCheckpoint = func(round int, data []byte) error {
+		snap = append([]byte(nil), data...)
+		return nil
+	}
+	cfg.OnRound = func(round int, s *core.State) {
+		if round == 349 {
+			compacted = s.Tasks().M() < 4000
+		}
+	}
+	if _, err := Run(cfg); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("crash run returned %v, want ErrCrashed", err)
+	}
+	if !compacted {
+		t.Fatal("the task set did not compact before the checkpoint — workload too small for the test")
+	}
+	eng, err := Resume(bytes.NewReader(snap), build())
+	if err != nil {
+		t.Fatalf("checkpoint after compaction rejected: %v", err)
+	}
+	res, err := eng.Run()
+	eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, full) {
+		t.Fatal("resume after compaction diverges from the uninterrupted run")
+	}
+}
+
+// TestResumeInitialTasksBeforeDeparture pins the restore of a task set
+// that has never lost a task: its removal flags are not allocated yet,
+// so a checkpoint of a run with initial tasks, taken before the first
+// departure, must resume into the uninterrupted run.
+func TestResumeInitialTasksBeforeDeparture(t *testing.T) {
+	build := func() Config {
+		cfg := smallCkptConfig()
+		cfg.InitialWeights = []float64{1, 2, 3, 4}
+		cfg.InitialPlacement = []int{0, 1, 2, 3}
+		return cfg
+	}
+	full, err := Run(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	resumed, err := Resume(&buf, build())
+	if err != nil {
+		t.Fatalf("round-0 checkpoint with initial tasks rejected: %v", err)
+	}
+	res, err := resumed.Run()
+	resumed.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, full) {
+		t.Fatal("round-0 resume with initial tasks diverges from the plain run")
+	}
+}
+
 // TestManualEngineCheckpoint pins the explicit Engine API: a snapshot
 // taken before the first round resumes into the full run, bit for bit.
 func TestManualEngineCheckpoint(t *testing.T) {

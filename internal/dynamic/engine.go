@@ -191,7 +191,7 @@ type engine struct {
 	// allocation-free once its buffer reaches its high-water mark.
 	// startRound is where run() enters the loop (non-zero after Resume);
 	// nextRound tracks the boundary a manual Checkpoint would capture.
-	ckptEnc    *snapshot.Encoder
+	ckpt       *snapshot.Codec
 	startRound int
 	nextRound  int
 
@@ -458,7 +458,7 @@ func (e *engine) step(t int) error {
 	// runs after the checkpoint: a run killed at its checkpoint round
 	// still leaves that round's snapshot behind.
 	if e.cfg.CheckpointEvery > 0 && (t+1)%e.cfg.CheckpointEvery == 0 {
-		if err := e.checkpoint(t + 1); err != nil {
+		if err := e.checkpoint(); err != nil {
 			return err
 		}
 	}

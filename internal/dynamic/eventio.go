@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/trace"
 )
 
 // Churn-event ingestion: scripted failure schedules — hand-written or
@@ -104,7 +106,7 @@ func ReadEventsJSONL(r io.Reader, n int) ([]ChurnEvent, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("dynamic: events jsonl line %d: %w", line, err)
 		}
-		if err := OneValuePerLine(dec); err != nil {
+		if err := trace.OneValuePerLine(dec); err != nil {
 			return nil, fmt.Errorf("dynamic: events jsonl line %d: %w", line, err)
 		}
 		if rec.Round == nil {

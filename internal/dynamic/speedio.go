@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/trace"
 )
 
 // Speed-profile ingestion: heterogeneous fleets are described by
@@ -133,7 +135,7 @@ func ReadSpeedsJSONL(r io.Reader, n int) ([]float64, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("dynamic: speeds jsonl line %d: %w", line, err)
 		}
-		if err := OneValuePerLine(dec); err != nil {
+		if err := trace.OneValuePerLine(dec); err != nil {
 			return nil, fmt.Errorf("dynamic: speeds jsonl line %d: %w", line, err)
 		}
 		if rec.Resource == nil || rec.Speed == nil {
@@ -147,22 +149,6 @@ func ReadSpeedsJSONL(r io.Reader, n int) ([]float64, error) {
 		return nil, fmt.Errorf("dynamic: speeds jsonl: %w", err)
 	}
 	return sv.v, nil
-}
-
-// OneValuePerLine errors when a decoded JSONL line carries trailing
-// data after its first value (e.g. two concatenated objects): silently
-// dropping the remainder would load a truncated file. Shared by every
-// JSONL loader in this package and in internal/recovery.
-func OneValuePerLine(dec *json.Decoder) error {
-	tok, err := dec.Token()
-	switch {
-	case err == io.EOF:
-		return nil
-	case err != nil:
-		return fmt.Errorf("trailing data after the record: %w", err)
-	default:
-		return fmt.Errorf("trailing data %v after the record", tok)
-	}
 }
 
 // LoadSpeedsFile reads an n-resource speed profile from path, picking

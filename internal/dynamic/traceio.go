@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // Trace ingestion: production arrival logs replay through the engine
@@ -94,7 +95,7 @@ func ReadTraceJSONL(r io.Reader, label string) (Trace, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return Trace{}, fmt.Errorf("dynamic: trace jsonl line %d: %w", line, err)
 		}
-		if err := OneValuePerLine(dec); err != nil {
+		if err := trace.OneValuePerLine(dec); err != nil {
 			return Trace{}, fmt.Errorf("dynamic: trace jsonl line %d: %w", line, err)
 		}
 		if rec.Round == nil || rec.Weight == nil {

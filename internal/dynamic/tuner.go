@@ -228,15 +228,7 @@ func (st *SelfTuner) Refresh(round int, s *core.State, up *UpSet, pool *par.Pool
 			// on homogeneous fleets, speed-mass s_r on heterogeneous ones.
 			st.upw[r] = st.speedOf(r)
 		}
-		st.thr = make([]float64, n)
-		st.zEst = make([]float64, n)
-		st.zEstNext = make([]float64, n)
-		st.decayFn = st.decayShard
-		st.diffuseFn = st.diffuseShard
-		st.thrFn = st.thresholdShard
-		// Speed-mass must diffuse from round one: the load average alone
-		// concentrates around W/n, not the per-unit-speed share W/S.
-		st.churned = st.churned || st.speeds != nil
+		st.initScratch(n)
 	}
 	if up.DownN() > 0 {
 		st.churned = true
@@ -273,6 +265,25 @@ func (st *SelfTuner) Refresh(round int, s *core.State, up *UpSet, pool *par.Pool
 	}
 	st.runShards(st.thrFn)
 	return st.thr
+}
+
+// initScratch builds the refresh scratch and binds the shard closures
+// for an n-resource fleet whose estimates are already in place — on
+// the first Refresh, or on restore from a checkpoint.
+func (st *SelfTuner) initScratch(n int) {
+	st.thr = make([]float64, n)
+	st.zEst = make([]float64, n)
+	st.zEstNext = make([]float64, n)
+	st.decayFn = st.decayShard
+	st.diffuseFn = st.diffuseShard
+	st.thrFn = st.thresholdShard
+	// Speed-mass must diffuse from round one: the load average alone
+	// concentrates around W/n, not the per-unit-speed share W/S.
+	st.churned = st.churned || st.speeds != nil
+	if st.churned {
+		st.zUp = make([]float64, n)
+		st.zUpNext = make([]float64, n)
+	}
 }
 
 // runShards executes fn over the canonical resource partition — on the

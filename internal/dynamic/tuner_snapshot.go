@@ -11,67 +11,41 @@ import (
 // the decaying load estimates, the push-sum companion (up/speed mass)
 // and the churned latch. Everything else — the diffusion ping-pong
 // buffers, the threshold scratch, the bound shard closures — is
-// refresh-time scratch the decode path rebuilds, exactly as the lazy
+// refresh-time scratch a restore rebuilds, exactly as the lazy
 // first-Refresh init would. The estimates are bit patterns of
 // incrementally decayed sums, so they are stored as exact float bits
 // and never recomputed.
 //
-// OracleTuner deliberately does not implement SnapshotStater: its only
+// OracleTuner deliberately does not implement Snapshotter: its only
 // field is a threshold scratch vector fully rewritten from core state
 // at each refresh round, so a fresh oracle resumes bit-identically.
 
-// EncodeSnapshot implements SnapshotStater.
-func (st *SelfTuner) EncodeSnapshot(enc *snapshot.Encoder) {
-	enc.Bool(st.est != nil)
-	if st.est == nil {
+// Snapshot implements Snapshotter. A restore needs a fresh tuner of
+// the checkpointed run's configuration, speeds already applied by the
+// engine.
+func (st *SelfTuner) Snapshot(c *snapshot.Codec) {
+	if c.Decoding() && st.est != nil {
+		c.Fail(errors.New("dynamic: SelfTuner snapshot restore requires a fresh tuner"))
 		return
 	}
-	enc.Float64s(st.est)
-	enc.Float64s(st.upw)
-	enc.Bool(st.churned)
-}
-
-// DecodeSnapshot implements SnapshotStater. The receiver must be a
-// fresh tuner (same configuration as the checkpointed run, speeds
-// already applied by the engine); restore rebuilds the refresh scratch
-// and closures the first Refresh would otherwise lazily allocate.
-func (st *SelfTuner) DecodeSnapshot(sec *snapshot.Section) error {
-	if st.est != nil {
-		return errors.New("dynamic: SelfTuner snapshot restore requires a fresh tuner")
-	}
-	inited := sec.Bool()
-	if err := sec.Err(); err != nil {
-		return err
-	}
+	inited := st.est != nil
+	c.Bool(&inited)
 	if !inited {
-		return nil
+		return
 	}
-	st.est = sec.Float64s(nil)
-	st.upw = sec.Float64s(nil)
-	st.churned = sec.Bool()
-	if err := sec.Err(); err != nil {
-		return err
-	}
+	c.Float64s(&st.est)
+	c.Float64s(&st.upw)
+	c.Bool(&st.churned)
 	n := len(st.est)
-	if len(st.upw) != n {
-		return fmt.Errorf("dynamic: SelfTuner snapshot has %d mass entries for %d estimates", len(st.upw), n)
+	switch {
+	case len(st.upw) != n:
+		c.Fail(fmt.Errorf("dynamic: SelfTuner snapshot has %d mass entries for %d estimates", len(st.upw), n))
+	case st.speeds != nil && len(st.speeds) != n:
+		c.Fail(fmt.Errorf("dynamic: SelfTuner snapshot covers %d resources, speed profile has %d", n, len(st.speeds)))
+	case c.Decoding() && c.Err() == nil:
+		st.initScratch(n)
 	}
-	if st.speeds != nil && len(st.speeds) != n {
-		return fmt.Errorf("dynamic: SelfTuner snapshot covers %d resources, speed profile has %d", n, len(st.speeds))
-	}
-	st.thr = make([]float64, n)
-	st.zEst = make([]float64, n)
-	st.zEstNext = make([]float64, n)
-	st.decayFn = st.decayShard
-	st.diffuseFn = st.diffuseShard
-	st.thrFn = st.thresholdShard
-	st.churned = st.churned || st.speeds != nil
-	if st.churned {
-		st.zUp = make([]float64, n)
-		st.zUpNext = make([]float64, n)
-	}
-	return nil
 }
 
 // Interface conformance, pinned at compile time.
-var _ SnapshotStater = (*SelfTuner)(nil)
+var _ Snapshotter = (*SelfTuner)(nil)

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/trace"
 )
 
 // Fault-plan ingestion: unreliable-network scenarios — hand-written or
@@ -206,8 +208,8 @@ func ReadPlanJSONLNamed(r io.Reader, n int, resolve MemberResolver) (*Plan, erro
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("faults: plan jsonl line %d: %w", line, err)
 		}
-		if dec.More() {
-			return nil, fmt.Errorf("faults: plan jsonl line %d: trailing data after the directive object", line)
+		if err := trace.OneValuePerLine(dec); err != nil {
+			return nil, fmt.Errorf("faults: plan jsonl line %d: %w", line, err)
 		}
 		set := 0
 		if rec.Loss != nil {

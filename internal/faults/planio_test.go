@@ -77,6 +77,8 @@ func TestPlanLoaderLineNumbers(t *testing.T) {
 		{"jsonl unknown field", "{\"loss\":0.1}\n{\"chaos\":1}\n", "line 2", true},
 		{"jsonl empty directive", "{\"loss\":0.1}\n{}\n", "line 2", true},
 		{"jsonl trailing data", "{\"loss\":0.1} 7\n", "line 1", true},
+		{"jsonl trailing brace", "{\"loss\":0.1}}\n", "line 1: trailing data", true},
+		{"jsonl trailing bracket", "{\"loss\":0.1}]\n", "line 1: trailing data", true},
 		{"jsonl partition missing bounds", "{\"partition\":{\"members\":[1]}}\n", "line 1", true},
 		{"jsonl partition members and ranges", "{\"partition\":{\"start\":0,\"end\":9,\"members\":[1],\"ranges\":\"2\"}}\n", "line 1", true},
 		{"jsonl isolating partition maps to its line", "{\"loss\":0.1}\n{\"partition\":{\"start\":0,\"end\":9,\"ranges\":\"0-15\"}}\n", "line 2", true},

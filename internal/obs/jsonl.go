@@ -167,8 +167,8 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		if err := dec.Decode(&we); err != nil {
 			return nil, fmt.Errorf("obs: events jsonl line %d: %w", line, err)
 		}
-		if dec.More() {
-			return nil, fmt.Errorf("obs: events jsonl line %d: trailing data after the event object", line)
+		if err := trace.OneValuePerLine(dec); err != nil {
+			return nil, fmt.Errorf("obs: events jsonl line %d: %w", line, err)
 		}
 		ev, err := fromWire(&we)
 		if err != nil {

@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/dynamic"
@@ -16,67 +15,40 @@ import (
 // the lists (and the position indexes that keep swap-remove O(1)) are
 // serialized verbatim.
 
-// EncodeSnapshot implements dynamic.SnapshotStater.
-func (l *Locality) EncodeSnapshot(enc *snapshot.Encoder) {
-	enc.Bool(l.rackUp != nil)
-	if l.rackUp == nil {
+// Snapshot implements dynamic.Snapshotter. A restore needs the
+// checkpointed run's Topology; membership counts are checked against
+// it.
+func (l *Locality) Snapshot(c *snapshot.Codec) {
+	inited := l.rackUp != nil
+	c.Bool(&inited)
+	if !inited {
 		return
 	}
-	enc.Uint32(uint32(len(l.rackUp)))
-	for k := range l.rackUp {
-		enc.Int32s(l.rackUp[k])
-	}
-	enc.Uint32(uint32(len(l.zoneUp)))
-	for z := range l.zoneUp {
-		enc.Int32s(l.zoneUp[z])
-	}
-	enc.Int32s(l.posRack)
-	enc.Int32s(l.posZone)
-}
-
-// DecodeSnapshot implements dynamic.SnapshotStater. The receiver must
-// carry the same Topology as the checkpointed run; membership counts
-// are validated against it before anything is overwritten.
-func (l *Locality) DecodeSnapshot(sec *snapshot.Section) error {
-	if l.Topo == nil {
-		return errors.New("recovery: Locality snapshot restore needs a Topology")
-	}
-	inited := sec.Bool()
-	if err := sec.Err(); err != nil {
-		return err
-	}
-	if !inited {
-		return nil
-	}
 	t := l.Topo
-	if l.rackUp == nil {
+	if c.Decoding() && l.rackUp == nil {
 		l.ResetUp(t.N())
 	}
-	nRacks := int(sec.Uint32())
-	if sec.Err() == nil && nRacks != t.Racks() {
-		return fmt.Errorf("recovery: snapshot covers %d racks, topology has %d", nRacks, t.Racks())
+	if n := c.Count(len(l.rackUp), 4); n != t.Racks() {
+		c.Fail(fmt.Errorf("recovery: snapshot covers %d racks, topology has %d", n, t.Racks()))
+		return
 	}
-	for k := 0; k < t.Racks() && sec.Err() == nil; k++ {
-		l.rackUp[k] = sec.Int32s(l.rackUp[k])
+	for k := range l.rackUp {
+		c.Int32s(&l.rackUp[k])
 	}
-	nZones := int(sec.Uint32())
-	if sec.Err() == nil && nZones != t.Zones() {
-		return fmt.Errorf("recovery: snapshot covers %d zones, topology has %d", nZones, t.Zones())
+	if n := c.Count(len(l.zoneUp), 4); n != t.Zones() {
+		c.Fail(fmt.Errorf("recovery: snapshot covers %d zones, topology has %d", n, t.Zones()))
+		return
 	}
-	for z := 0; z < t.Zones() && sec.Err() == nil; z++ {
-		l.zoneUp[z] = sec.Int32s(l.zoneUp[z])
+	for z := range l.zoneUp {
+		c.Int32s(&l.zoneUp[z])
 	}
-	l.posRack = sec.Int32s(l.posRack)
-	l.posZone = sec.Int32s(l.posZone)
-	if err := sec.Err(); err != nil {
-		return err
-	}
+	c.Int32s(&l.posRack)
+	c.Int32s(&l.posZone)
 	if len(l.posRack) != t.N() || len(l.posZone) != t.N() {
-		return fmt.Errorf("recovery: snapshot position vectors cover %d/%d resources, topology has %d",
-			len(l.posRack), len(l.posZone), t.N())
+		c.Fail(fmt.Errorf("recovery: snapshot position vectors cover %d/%d resources, topology has %d",
+			len(l.posRack), len(l.posZone), t.N()))
 	}
-	return nil
 }
 
 // Interface conformance, pinned at compile time.
-var _ dynamic.SnapshotStater = (*Locality)(nil)
+var _ dynamic.Snapshotter = (*Locality)(nil)

@@ -11,7 +11,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/dynamic"
+	"repro/internal/trace"
 )
 
 // Topology ingestion: fleet inventories are described by per-resource
@@ -211,7 +211,7 @@ func ReadTopologyJSONL(r io.Reader, n int) (*Topology, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("recovery: topology jsonl line %d: %w", line, err)
 		}
-		if err := dynamic.OneValuePerLine(dec); err != nil {
+		if err := trace.OneValuePerLine(dec); err != nil {
 			return nil, fmt.Errorf("recovery: topology jsonl line %d: %w", line, err)
 		}
 		switch {

@@ -1,11 +1,15 @@
 package rng
 
-import "fmt"
+import (
+	"fmt"
 
-// Generator state export/import for checkpoint/restore. A Rand's
-// position in its stream is 1–4 machine words plus a kind tag; the
-// fixed-size [4]uint64 word block keeps the checkpoint layout uniform
-// (and allocation-free) across generator kinds.
+	"repro/internal/snapshot"
+)
+
+// Generator state for checkpoint/restore. A Rand's position in its
+// stream is 1–4 machine words plus a kind tag; the fixed-size
+// [4]uint64 word block keeps the checkpoint layout uniform (and
+// allocation-free) across generator kinds.
 
 // Generator kind tags, stable across releases — they are written into
 // snapshot files.
@@ -15,9 +19,26 @@ const (
 	KindPCG32      uint8 = 3
 )
 
-// State exports the generator's kind tag and raw state words. Unused
+// Snapshot walks the generator's position through c: the kind tag,
+// then the four state words. A restore fails unless the saved kind
+// matches the receiver's generator — a checkpoint written with one
+// generator family cannot silently resume on another.
+func (r *Rand) Snapshot(c *snapshot.Codec) {
+	kind, words := r.state()
+	c.Uint8(&kind)
+	for i := range words {
+		c.Uint64(&words[i])
+	}
+	if c.Decoding() && c.Err() == nil {
+		if err := r.setState(kind, words); err != nil {
+			c.Fail(err)
+		}
+	}
+}
+
+// state returns the generator's kind tag and raw state words. Unused
 // words are zero.
-func (r *Rand) State() (kind uint8, words [4]uint64) {
+func (r *Rand) state() (kind uint8, words [4]uint64) {
 	switch src := r.src.(type) {
 	case *SplitMix64:
 		return KindSplitMix64, [4]uint64{src.state}
@@ -30,11 +51,9 @@ func (r *Rand) State() (kind uint8, words [4]uint64) {
 	}
 }
 
-// SetState replaces the generator's position with a previously
-// exported (kind, words) pair. The kind must match the receiver's
-// underlying generator — a checkpoint written with one generator
-// family cannot silently resume on another.
-func (r *Rand) SetState(kind uint8, words [4]uint64) error {
+// setState replaces the generator's position with a saved (kind,
+// words) pair of the receiver's own generator kind.
+func (r *Rand) setState(kind uint8, words [4]uint64) error {
 	switch src := r.src.(type) {
 	case *SplitMix64:
 		if kind != KindSplitMix64 {

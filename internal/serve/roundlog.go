@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dynamic"
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // The round log is the twin contract's ground truth: one JSONL record
@@ -68,6 +69,9 @@ func ReadRoundLog(r io.Reader) ([]RoundRecord, error) {
 		dec := json.NewDecoder(strings.NewReader(text))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&rec); err != nil {
+			return nil, fmt.Errorf("serve: round log line %d: %w", line, err)
+		}
+		if err := trace.OneValuePerLine(dec); err != nil {
 			return nil, fmt.Errorf("serve: round log line %d: %w", line, err)
 		}
 		if err := validateRecord(&rec, len(recs), line); err != nil {

@@ -72,6 +72,9 @@ func TestReadRoundLogErrors(t *testing.T) {
 		{"negative drain", `{"t":0,"down":[-3]}` + "\n", "line 1: negative drain target -3"},
 		{"negative add", `{"t":0,"up":[-1]}` + "\n", "line 1: negative add target -1"},
 		{"bad dispatch", `{"t":0,"dispatch":"nope"}` + "\n", `line 1: serve: unknown dispatch policy "nope"`},
+		{"concatenated records", `{"t":0}{"t":7}` + "\n", "line 1: trailing data"},
+		{"trailing brace", `{"t":0}}` + "\n", "line 1: trailing data"},
+		{"trailing bracket", `{"t":0}]` + "\n", "line 1: trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,25 +13,22 @@ import (
 // corruption families the decoder must reject without panicking —
 // truncated, bit-flipped, and section-reordered files.
 func fuzzSeeds() map[string][]byte {
-	enc := NewEncoder()
-	valid := append([]byte(nil), buildSample(enc)...)
+	w := NewWriter()
+	valid := append([]byte(nil), buildSample(w)...)
 
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 
 	// Same sections, written in a different order: framing and
 	// checksums are all valid, only the order contract is violated.
-	enc.Reset()
-	enc.Begin("beta")
-	enc.Uint8(1)
-	enc.End()
-	enc.Begin("alpha")
-	enc.Uint8(2)
-	enc.End()
-	enc.Begin("gamma")
-	enc.Uint8(3)
-	enc.End()
-	reordered := append([]byte(nil), enc.Finish()...)
+	w.Reset()
+	for i, name := range []string{"beta", "alpha", "gamma"} {
+		b := uint8(i + 1)
+		w.Begin(name)
+		w.Uint8(&b)
+		w.End()
+	}
+	reordered := append([]byte(nil), w.Finish()...)
 
 	return map[string][]byte{
 		"valid":             valid,
@@ -43,45 +40,23 @@ func fuzzSeeds() map[string][]byte {
 	}
 }
 
-// FuzzDecoder feeds arbitrary bytes through the full decode path —
-// construction, in-order section walk, every read primitive, Done and
-// Close. The contract under fuzzing is purely "never panic, never
-// allocate absurdly": corrupt input must surface as an error.
+// FuzzDecoder feeds arbitrary bytes through the full restore path —
+// construction, the in-order section walk of the canonical sample
+// (every codec primitive and caller-walked list), End and Close. The
+// contract under fuzzing is purely "never panic, never allocate
+// absurdly": corrupt input must surface as an error.
 func FuzzDecoder(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := NewDecoder(data)
+		r, err := NewReader(data)
 		if err != nil {
 			return
 		}
-		for _, name := range []string{"alpha", "beta", "gamma"} {
-			sec, err := d.Section(name)
-			if err != nil {
-				return
-			}
-			sec.Uint8()
-			sec.Bool()
-			sec.Uint32()
-			sec.Uint64()
-			sec.Int()
-			sec.Int32()
-			sec.Int64()
-			sec.Float64()
-			sec.Bytes()
-			_ = sec.String()
-			sec.Ints(nil)
-			sec.Int32s(nil)
-			sec.Int64s(nil)
-			sec.Uint64s(nil)
-			sec.Float64s(nil)
-			sec.Bools(nil)
-			sec.Len(8)
-			_ = sec.Done()
-			_ = sec.Err()
-		}
-		_ = d.Close()
+		var s sample
+		s.walk(r)
+		_ = r.Close()
 	})
 }
 

@@ -5,7 +5,7 @@
 // A snapshot file is
 //
 //	magic "LBSNAP\r\n" (8 bytes)       — the \r\n catches text-mode mangling
-//	version uint32                      — format revision, currently 1
+//	version uint32                      — format revision, currently 2
 //	section count uint32
 //	section*:
 //	    name length uint8, name bytes   — short ASCII identifier
@@ -14,11 +14,14 @@
 //	    payload CRC32-Castagnoli uint32
 //	file CRC32-Castagnoli uint32        — over everything before it
 //
-// All integers are little-endian. Floats travel as IEEE-754 bit
-// patterns (math.Float64bits), never as decimal text, because the
-// engine's headline invariant — a resumed run finishes byte-identical
-// to the uninterrupted one — requires every incrementally-accumulated
-// float to round-trip exactly.
+// Payloads are walked by a Codec: fixed-width integers (an int as its
+// 64-bit two's-complement pattern), bools as one byte, and slices and
+// counted lists as a uint32 length followed by their elements. All
+// integers are little-endian. Floats travel as IEEE-754 bit patterns
+// (math.Float64bits), never as decimal text, because the engine's
+// headline invariant — a resumed run finishes byte-identical to the
+// uninterrupted one — requires every incrementally-accumulated float
+// to round-trip exactly.
 //
 // The decoder is paranoid by construction: the file checksum is
 // verified before any section is parsed, every section payload carries
@@ -69,16 +72,11 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("snapshot: section %q offset %d: %s", e.Section, e.Offset, e.Msg)
 }
 
-// Encoder builds a snapshot into one reusable buffer. The zero value
-// is not ready; call NewEncoder (or Reset) first. Usage:
-//
-//	enc.Reset()
-//	enc.Begin("meta"); enc.Uint64(...); enc.End()
-//	...
-//	data := enc.Finish()
-//
-// Begin/End pairs may not nest; misuse panics (it is a programming
-// error, not an input error).
+// Encoder frames a snapshot into one reusable buffer: sections opened
+// by Begin and sealed by End, the file sealed by Finish. A writer
+// Codec fills the section payloads. The zero value is not ready; call
+// NewEncoder (or Reset) first. Begin/End pairs may not nest; misuse
+// panics (it is a programming error, not an input error).
 type Encoder struct {
 	buf          []byte
 	payloadStart int // index where the open section's payload begins
@@ -153,96 +151,6 @@ func (e *Encoder) Finish() []byte {
 		e.finished = true
 	}
 	return e.buf
-}
-
-// Uint8 appends one byte.
-func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
-
-// Bool appends a bool as one byte.
-func (e *Encoder) Bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.buf = append(e.buf, b)
-}
-
-// Uint32 appends a little-endian uint32.
-func (e *Encoder) Uint32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-
-// Uint64 appends a little-endian uint64.
-func (e *Encoder) Uint64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-
-// Int appends an int as its two's-complement 64-bit pattern.
-func (e *Encoder) Int(v int) { e.Uint64(uint64(int64(v))) }
-
-// Int64 appends an int64 as its two's-complement pattern.
-func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
-
-// Int32 appends an int32 as its two's-complement 32-bit pattern.
-func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
-
-// Float64 appends the exact IEEE-754 bit pattern of v.
-func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
-
-// Bytes appends a length-prefixed byte string.
-func (e *Encoder) Bytes(b []byte) {
-	e.Uint32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.Uint32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Ints appends a length-prefixed []int.
-func (e *Encoder) Ints(s []int) {
-	e.Uint32(uint32(len(s)))
-	for _, v := range s {
-		e.Int(v)
-	}
-}
-
-// Int32s appends a length-prefixed []int32.
-func (e *Encoder) Int32s(s []int32) {
-	e.Uint32(uint32(len(s)))
-	for _, v := range s {
-		e.Int32(v)
-	}
-}
-
-// Int64s appends a length-prefixed []int64.
-func (e *Encoder) Int64s(s []int64) {
-	e.Uint32(uint32(len(s)))
-	for _, v := range s {
-		e.Int64(v)
-	}
-}
-
-// Uint64s appends a length-prefixed []uint64.
-func (e *Encoder) Uint64s(s []uint64) {
-	e.Uint32(uint32(len(s)))
-	for _, v := range s {
-		e.Uint64(v)
-	}
-}
-
-// Float64s appends a length-prefixed []float64, bit patterns only.
-func (e *Encoder) Float64s(s []float64) {
-	e.Uint32(uint32(len(s)))
-	for _, v := range s {
-		e.Float64(v)
-	}
-}
-
-// Bools appends a length-prefixed []bool.
-func (e *Encoder) Bools(s []bool) {
-	e.Uint32(uint32(len(s)))
-	for _, v := range s {
-		e.Bool(v)
-	}
 }
 
 // Decoder parses a snapshot produced by Encoder. Construction
@@ -323,18 +231,15 @@ func (d *Decoder) Close() error {
 	return nil
 }
 
-// Section is a cursor over one verified section payload. Reads past
-// the end latch an error and return zero values; check Done (or Err)
-// once after the reads.
+// Section is a cursor over one verified section payload, read by a
+// Codec. Reads past the end latch an error; check Done (or Err) once
+// after the reads.
 type Section struct {
 	name string
 	data []byte
 	off  int
 	err  error
 }
-
-// Name returns the section's name.
-func (s *Section) Name() string { return s.name }
 
 // Err returns the first read error, if any.
 func (s *Section) Err() error { return s.err }
@@ -370,146 +275,18 @@ func (s *Section) take(n int) []byte {
 	return b
 }
 
-// Uint8 reads one byte.
-func (s *Section) Uint8() uint8 {
-	b := s.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads one byte as a bool; any value other than 0 or 1 is a
-// decode error (corruption shows up instead of folding to true).
-func (s *Section) Bool() bool {
-	b := s.take(1)
-	if b == nil {
-		return false
-	}
-	if b[0] > 1 {
-		s.fail("bad bool byte %#x", b[0])
-		return false
-	}
-	return b[0] == 1
-}
-
-// Uint32 reads a little-endian uint32.
-func (s *Section) Uint32() uint32 {
-	b := s.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// Uint64 reads a little-endian uint64.
-func (s *Section) Uint64() uint64 {
-	b := s.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// Int reads a two's-complement 64-bit int.
-func (s *Section) Int() int { return int(int64(s.Uint64())) }
-
-// Int64 reads a two's-complement 64-bit int.
-func (s *Section) Int64() int64 { return int64(s.Uint64()) }
-
-// Int32 reads a two's-complement 32-bit int.
-func (s *Section) Int32() int32 { return int32(s.Uint32()) }
-
-// Float64 reads an IEEE-754 bit pattern.
-func (s *Section) Float64() float64 { return math.Float64frombits(s.Uint64()) }
-
 // count reads a length prefix and bounds it against the bytes
 // actually remaining (elemSize bytes per element), so a corrupted
 // length cannot drive a giant allocation.
 func (s *Section) count(elemSize int) int {
-	n := int(s.Uint32())
-	if s.err != nil {
+	b := s.take(4)
+	if b == nil {
 		return 0
 	}
+	n := int(binary.LittleEndian.Uint32(b))
 	if n*elemSize > len(s.data)-s.off {
 		s.fail("declared length %d exceeds remaining payload (%d bytes)", n, len(s.data)-s.off)
 		return 0
 	}
 	return n
 }
-
-// Bytes reads a length-prefixed byte string (aliasing the payload).
-func (s *Section) Bytes() []byte {
-	n := s.count(1)
-	if s.err != nil {
-		return nil
-	}
-	return s.take(n)
-}
-
-// String reads a length-prefixed string.
-func (s *Section) String() string { return string(s.Bytes()) }
-
-// Ints reads a length-prefixed []int into dst[:0].
-func (s *Section) Ints(dst []int) []int {
-	n := s.count(8)
-	dst = dst[:0]
-	for i := 0; i < n && s.err == nil; i++ {
-		dst = append(dst, s.Int())
-	}
-	return dst
-}
-
-// Int32s reads a length-prefixed []int32 into dst[:0].
-func (s *Section) Int32s(dst []int32) []int32 {
-	n := s.count(4)
-	dst = dst[:0]
-	for i := 0; i < n && s.err == nil; i++ {
-		dst = append(dst, s.Int32())
-	}
-	return dst
-}
-
-// Int64s reads a length-prefixed []int64 into dst[:0].
-func (s *Section) Int64s(dst []int64) []int64 {
-	n := s.count(8)
-	dst = dst[:0]
-	for i := 0; i < n && s.err == nil; i++ {
-		dst = append(dst, s.Int64())
-	}
-	return dst
-}
-
-// Uint64s reads a length-prefixed []uint64 into dst[:0].
-func (s *Section) Uint64s(dst []uint64) []uint64 {
-	n := s.count(8)
-	dst = dst[:0]
-	for i := 0; i < n && s.err == nil; i++ {
-		dst = append(dst, s.Uint64())
-	}
-	return dst
-}
-
-// Float64s reads a length-prefixed []float64 into dst[:0].
-func (s *Section) Float64s(dst []float64) []float64 {
-	n := s.count(8)
-	dst = dst[:0]
-	for i := 0; i < n && s.err == nil; i++ {
-		dst = append(dst, s.Float64())
-	}
-	return dst
-}
-
-// Bools reads a length-prefixed []bool into dst[:0].
-func (s *Section) Bools(dst []bool) []bool {
-	n := s.count(1)
-	dst = dst[:0]
-	for i := 0; i < n && s.err == nil; i++ {
-		dst = append(dst, s.Bool())
-	}
-	return dst
-}
-
-// Len reads a bare length prefix for caller-managed element loops,
-// bounded by the remaining payload at elemSize bytes per element.
-func (s *Section) Len(elemSize int) int { return s.count(elemSize) }

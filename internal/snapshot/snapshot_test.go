@@ -7,161 +7,151 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// buildSample encodes the canonical three-section test snapshot used
-// across the round-trip, corruption and fuzz suites. It exercises
-// every primitive, the exact-bit float contract (NaN payloads, ±Inf,
-// negative zero) and empty slices.
-func buildSample(enc *Encoder) []byte {
-	enc.Reset()
-	enc.Begin("alpha")
-	enc.Uint8(0xAB)
-	enc.Bool(true)
-	enc.Bool(false)
-	enc.Uint32(0xDEADBEEF)
-	enc.Uint64(0x0123456789ABCDEF)
-	enc.Int(-42)
-	enc.Int32(-7)
-	enc.Int64(math.MinInt64)
-	enc.Float64(math.Pi)
-	enc.End()
-	enc.Begin("beta")
-	enc.Bytes([]byte{1, 2, 3})
-	enc.String("thresholds")
-	enc.Ints([]int{3, -1, 1 << 40})
-	enc.Int32s([]int32{-2, 9})
-	enc.Int64s([]int64{1, -1})
-	enc.Uint64s([]uint64{0, math.MaxUint64})
-	enc.Float64s(nil)
-	enc.End()
-	enc.Begin("gamma")
-	enc.Float64(math.Inf(1))
-	enc.Float64(math.Inf(-1))
-	enc.Float64(math.Copysign(0, -1))
-	enc.Float64(math.Float64frombits(0x7FF8000000000001)) // NaN with a payload
-	enc.Bools([]bool{true, false, true})
-	enc.End()
-	return enc.Finish()
+// sample is the canonical three-section test snapshot used across the
+// round-trip, corruption and fuzz suites. It exercises every codec
+// primitive, the exact-bit float contract (NaN payloads, ±Inf,
+// negative zero), empty slices and caller-walked lists.
+type sample struct {
+	u8        uint8
+	yes, no   bool
+	i32       int32
+	u64       uint64
+	i         int
+	neg32     int32
+	i64       int64
+	pi        float64
+	raw, text []uint8
+	ints      []int
+	i32s      []int32
+	i64s      []int64
+	u64s      []uint64
+	empty     []float64
+	specials  [4]float64
+	bools     []bool
 }
 
-// readSample decodes buildSample's snapshot, failing the test on any
-// value drift.
+func (s *sample) walk(c *Codec) {
+	c.Begin("alpha")
+	c.Uint8(&s.u8)
+	c.Bool(&s.yes)
+	c.Bool(&s.no)
+	c.Int32(&s.i32)
+	c.Uint64(&s.u64)
+	c.Int(&s.i)
+	c.Int32(&s.neg32)
+	c.Int64(&s.i64)
+	c.Float64(&s.pi)
+	c.End()
+	c.Begin("beta")
+	for i := range Items(c, &s.raw, 1) {
+		c.Uint8(&s.raw[i])
+	}
+	for i := range Items(c, &s.text, 1) {
+		c.Uint8(&s.text[i])
+	}
+	c.Ints(&s.ints)
+	c.Int32s(&s.i32s)
+	for i := range Items(c, &s.i64s, 8) {
+		c.Int64(&s.i64s[i])
+	}
+	c.Uint64s(&s.u64s)
+	c.Float64s(&s.empty)
+	c.End()
+	c.Begin("gamma")
+	for i := range s.specials {
+		c.Float64(&s.specials[i])
+	}
+	c.Bools(&s.bools)
+	c.End()
+}
+
+func newSample() sample {
+	deadbeef := uint32(0xDEADBEEF)
+	return sample{
+		u8: 0xAB, yes: true, i32: int32(deadbeef), u64: 0x0123456789ABCDEF,
+		i: -42, neg32: -7, i64: math.MinInt64, pi: math.Pi,
+		raw: []uint8{1, 2, 3}, text: []uint8("thresholds"),
+		ints: []int{3, -1, 1 << 40}, i32s: []int32{-2, 9}, i64s: []int64{1, -1},
+		u64s: []uint64{0, math.MaxUint64},
+		specials: [4]float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+			math.Float64frombits(0x7FF8000000000001)}, // NaN with a payload
+		bools: []bool{true, false, true},
+	}
+}
+
+// buildSample writes the canonical sample through w.
+func buildSample(w *Codec) []byte {
+	s := newSample()
+	w.Reset()
+	s.walk(w)
+	return w.Finish()
+}
+
+// readSample restores buildSample's snapshot, failing the test on any
+// value drift — floats compared by bit pattern.
 func readSample(t *testing.T, data []byte) {
 	t.Helper()
-	d, err := NewDecoder(data)
+	r, err := NewReader(data)
 	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
+		t.Fatalf("NewReader: %v", err)
 	}
-	sec, err := d.Section("alpha")
-	if err != nil {
+	var got sample
+	got.walk(r)
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sec.Uint8(); got != 0xAB {
-		t.Fatalf("Uint8 = %#x", got)
+	want := newSample()
+	for i := range want.specials {
+		if g, w := math.Float64bits(got.specials[i]), math.Float64bits(want.specials[i]); g != w {
+			t.Fatalf("special float %d drifted to bits %#x, want %#x", i, g, w)
+		}
 	}
-	if !sec.Bool() || sec.Bool() {
-		t.Fatal("Bool round-trip drifted")
-	}
-	if got := sec.Uint32(); got != 0xDEADBEEF {
-		t.Fatalf("Uint32 = %#x", got)
-	}
-	if got := sec.Uint64(); got != 0x0123456789ABCDEF {
-		t.Fatalf("Uint64 = %#x", got)
-	}
-	if got := sec.Int(); got != -42 {
-		t.Fatalf("Int = %d", got)
-	}
-	if got := sec.Int32(); got != -7 {
-		t.Fatalf("Int32 = %d", got)
-	}
-	if got := sec.Int64(); got != math.MinInt64 {
-		t.Fatalf("Int64 = %d", got)
-	}
-	if got := sec.Float64(); got != math.Pi {
-		t.Fatalf("Float64 = %v", got)
-	}
-	if err := sec.Done(); err != nil {
-		t.Fatal(err)
-	}
-	sec, err = d.Section("beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sec.Bytes(); string(got) != "\x01\x02\x03" {
-		t.Fatalf("Bytes = %v", got)
-	}
-	if got := sec.String(); got != "thresholds" {
-		t.Fatalf("String = %q", got)
-	}
-	ints := sec.Ints(nil)
-	if len(ints) != 3 || ints[0] != 3 || ints[1] != -1 || ints[2] != 1<<40 {
-		t.Fatalf("Ints = %v", ints)
-	}
-	i32 := sec.Int32s(nil)
-	if len(i32) != 2 || i32[0] != -2 || i32[1] != 9 {
-		t.Fatalf("Int32s = %v", i32)
-	}
-	i64 := sec.Int64s(nil)
-	if len(i64) != 2 || i64[0] != 1 || i64[1] != -1 {
-		t.Fatalf("Int64s = %v", i64)
-	}
-	u64 := sec.Uint64s(nil)
-	if len(u64) != 2 || u64[0] != 0 || u64[1] != math.MaxUint64 {
-		t.Fatalf("Uint64s = %v", u64)
-	}
-	if fs := sec.Float64s(nil); len(fs) != 0 {
-		t.Fatalf("empty Float64s = %v", fs)
-	}
-	if err := sec.Done(); err != nil {
-		t.Fatal(err)
-	}
-	sec, err = d.Section("gamma")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sec.Float64(); !math.IsInf(got, 1) {
-		t.Fatalf("+Inf drifted to %v", got)
-	}
-	if got := sec.Float64(); !math.IsInf(got, -1) {
-		t.Fatalf("-Inf drifted to %v", got)
-	}
-	if got := sec.Float64(); math.Float64bits(got) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Fatalf("-0 drifted to %v (bits %#x)", got, math.Float64bits(got))
-	}
-	if got := sec.Float64(); math.Float64bits(got) != 0x7FF8000000000001 {
-		t.Fatalf("NaN payload drifted to bits %#x", math.Float64bits(got))
-	}
-	bs := sec.Bools(nil)
-	if len(bs) != 3 || !bs[0] || bs[1] || !bs[2] {
-		t.Fatalf("Bools = %v", bs)
-	}
-	if err := sec.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	got.specials, want.specials = [4]float64{}, [4]float64{}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored %+v\nwant     %+v", got, want)
 	}
 }
 
-// TestRoundTrip pins exact-value round-tripping of every primitive.
+// TestRoundTrip pins exact-value round-tripping of every primitive, and
+// pins the bytes themselves: the sample must encode exactly as the
+// committed FuzzDecoder "valid" seed, so a primitive whose layout
+// drifts fails here.
 func TestRoundTrip(t *testing.T) {
-	readSample(t, buildSample(NewEncoder()))
+	data := buildSample(NewWriter())
+	readSample(t, data)
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecoder", "valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitN(string(seed), "\n", 3)
+	quoted := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+	want, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != want {
+		t.Fatal("sample bytes differ from the committed FuzzDecoder/valid seed")
+	}
 }
 
 // TestEncoderReuse pins the reusable-buffer contract: Reset cycles
 // produce identical bytes and, once the buffer reached its high-water
 // mark, encoding allocates nothing.
 func TestEncoderReuse(t *testing.T) {
-	enc := NewEncoder()
-	first := append([]byte(nil), buildSample(enc)...)
-	second := buildSample(enc)
+	w := NewWriter()
+	first := append([]byte(nil), buildSample(w)...)
+	second := buildSample(w)
 	if string(first) != string(second) {
 		t.Fatal("re-encoding after Reset changed the bytes")
 	}
-	if allocs := testing.AllocsPerRun(50, func() { buildSample(enc) }); allocs != 0 {
+	s := newSample()
+	if allocs := testing.AllocsPerRun(50, func() { w.Reset(); s.walk(w); w.Finish() }); allocs != 0 {
 		t.Fatalf("warm encoder allocates %v times per snapshot, want 0", allocs)
 	}
 }
@@ -170,7 +160,7 @@ func TestEncoderReuse(t *testing.T) {
 // original: each prefix must fail — at construction or while reading —
 // and never panic or decode cleanly.
 func TestTruncationMatrix(t *testing.T) {
-	data := buildSample(NewEncoder())
+	data := buildSample(NewWriter())
 	for cut := 0; cut < len(data); cut++ {
 		func() {
 			defer func() {
@@ -188,7 +178,7 @@ func TestTruncationMatrix(t *testing.T) {
 // TestBitFlipMatrix flips one bit at every byte offset: the file-level
 // checksum must reject every mutation before any state is parsed.
 func TestBitFlipMatrix(t *testing.T) {
-	data := buildSample(NewEncoder())
+	data := buildSample(NewWriter())
 	mut := make([]byte, len(data))
 	for off := 0; off < len(data); off++ {
 		copy(mut, data)
@@ -203,7 +193,7 @@ func TestBitFlipMatrix(t *testing.T) {
 // is a structured error naming both sections, not a misassembled
 // restore.
 func TestSectionOrderViolation(t *testing.T) {
-	data := buildSample(NewEncoder())
+	data := buildSample(NewWriter())
 	d, err := NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
@@ -226,52 +216,61 @@ func TestSectionOrderViolation(t *testing.T) {
 // unconsumed bytes must each latch an *Error carrying the section name
 // and offset.
 func TestStructuredReadErrors(t *testing.T) {
-	enc := NewEncoder()
-	enc.Reset()
-	enc.Begin("s")
-	enc.Uint32(7)
-	enc.End()
-	data := enc.Finish()
-
-	d, _ := NewDecoder(data)
-	sec, err := d.Section("s")
-	if err != nil {
-		t.Fatal(err)
+	write := func(walk func(c *Codec)) []byte {
+		w := NewWriter()
+		w.Reset()
+		w.Begin("s")
+		walk(w)
+		w.End()
+		return w.Finish()
 	}
-	sec.Uint64() // 8 bytes from a 4-byte payload
+	read := func(data []byte, walk func(c *Codec)) error {
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Begin("s")
+		walk(r)
+		return r.Err()
+	}
+
+	seven := int32(7)
+	data := write(func(c *Codec) { c.Int32(&seven) })
+	v := uint64(99)
+	err := read(data, func(c *Codec) {
+		c.Uint64(&v) // 8 bytes from a 4-byte payload
+		c.Uint64(&v)
+	})
 	var se *Error
-	if !errors.As(sec.Err(), &se) || se.Section != "s" || !strings.Contains(se.Msg, "truncated") {
-		t.Fatalf("overread error = %v", sec.Err())
+	if !errors.As(err, &se) || se.Section != "s" || !strings.Contains(se.Msg, "truncated") {
+		t.Fatalf("overread error = %v", err)
 	}
-	if got := sec.Uint64(); got != 0 {
-		t.Fatalf("read after latched error returned %d, want 0", got)
+	if v != 99 {
+		t.Fatalf("read after latched error stored %d, want the field left alone", v)
 	}
 
-	enc.Reset()
-	enc.Begin("s")
-	enc.Uint8(2) // not a valid bool byte
-	enc.Uint32(math.MaxUint32)
-	enc.End()
-	data = enc.Finish()
-	d, _ = NewDecoder(data)
-	sec, _ = d.Section("s")
-	sec.Bool()
-	if err := sec.Err(); err == nil || !strings.Contains(err.Error(), "bad bool") {
+	two := uint8(2) // not a valid bool byte
+	data = write(func(c *Codec) {
+		c.Uint8(&two)
+		c.Count(math.MaxUint32, 8)
+	})
+	var b bool
+	if err := read(data, func(c *Codec) { c.Bool(&b) }); err == nil || !strings.Contains(err.Error(), "bad bool") {
 		t.Fatalf("bad bool byte error = %v", err)
 	}
-
-	d, _ = NewDecoder(data)
-	sec, _ = d.Section("s")
-	sec.Uint8()
-	sec.Float64s(nil) // declared length 2^32-1 with no bytes behind it
-	if err := sec.Err(); err == nil || !strings.Contains(err.Error(), "exceeds remaining") {
+	var fs []float64
+	err = read(data, func(c *Codec) {
+		c.Uint8(&two)
+		c.Float64s(&fs) // declared length 2^32-1 with no bytes behind it
+	})
+	if err == nil || !strings.Contains(err.Error(), "exceeds remaining") {
 		t.Fatalf("giant length error = %v", err)
 	}
-
-	d, _ = NewDecoder(data)
-	sec, _ = d.Section("s")
-	sec.Uint8()
-	if err := sec.Done(); err == nil || !strings.Contains(err.Error(), "left unread") {
+	r, _ := NewReader(data)
+	r.Begin("s")
+	r.Uint8(&two)
+	r.End()
+	if err := r.Close(); err == nil || !strings.Contains(err.Error(), "left unread") {
 		t.Fatalf("leftover-bytes error = %v", err)
 	}
 }
@@ -279,7 +278,7 @@ func TestStructuredReadErrors(t *testing.T) {
 // TestDecoderClose pins the trailing checks: unconsumed sections and
 // trailing garbage both fail Close.
 func TestDecoderClose(t *testing.T) {
-	data := buildSample(NewEncoder())
+	data := buildSample(NewWriter())
 	d, _ := NewDecoder(data)
 	if _, err := d.Section("alpha"); err != nil {
 		t.Fatal(err)
@@ -291,11 +290,12 @@ func TestDecoderClose(t *testing.T) {
 	// A file whose header declares fewer sections than the body holds:
 	// re-seal with a valid CRC so only Close's trailing-bytes check can
 	// catch it.
-	enc := NewEncoder()
-	enc.Begin("only")
-	enc.Uint8(1)
-	enc.End()
-	sealed := enc.Finish()
+	w := NewWriter()
+	w.Begin("only")
+	one := uint8(1)
+	w.Uint8(&one)
+	w.End()
+	sealed := w.Finish()
 	body := append([]byte(nil), sealed[:len(sealed)-4]...)
 	binary.LittleEndian.PutUint32(body[len(magic)+4:], 0) // declare zero sections
 	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
@@ -341,7 +341,7 @@ func TestEncoderMisusePanics(t *testing.T) {
 
 // TestVersionRejected pins the format-revision gate.
 func TestVersionRejected(t *testing.T) {
-	data := append([]byte(nil), buildSample(NewEncoder())...)
+	data := append([]byte(nil), buildSample(NewWriter())...)
 	data[len(magic)] = 99 // version field
 	if _, err := NewDecoder(data); err == nil {
 		t.Fatal("future format version passed NewDecoder")

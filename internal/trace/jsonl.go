@@ -48,6 +48,25 @@ func WriteRecords(w io.Writer, recs []Record) error {
 // headroom keeps hand-edited files working while bounding memory).
 const maxLine = 1 << 20
 
+// OneValuePerLine errors when a decoded JSONL line carries trailing
+// data after its first value (a second concatenated object, a stray
+// closing delimiter): silently dropping the remainder would load a
+// truncated file. Unlike json.Decoder.More, which reports false in
+// front of a closing '}' or ']', it reads the next token, so any
+// leftover input is an error. Every JSONL reader in the module calls
+// it after decoding a line's value.
+func OneValuePerLine(dec *json.Decoder) error {
+	tok, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("trailing data after the record: %w", err)
+	default:
+		return fmt.Errorf("trailing data %v after the record", tok)
+	}
+}
+
 // ReadRecords parses a JSON Lines trace stream. Blank lines and lines
 // starting with '#' are skipped; every other line must be exactly one
 // Record object with no unknown fields, and must pass Validate. Errors
@@ -69,8 +88,8 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
-		if dec.More() {
-			return nil, fmt.Errorf("trace: line %d: trailing data after record", line)
+		if err := OneValuePerLine(dec); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		if err := rec.Validate(); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
